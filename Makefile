@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check-race oracle oracle-long bench bench-compare golden smoke check
+.PHONY: build test vet fmt vet-bench race check-race oracle oracle-long bench bench-compare golden smoke check
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,18 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fail when gofmt would rewrite any Go file of the repo
+# (tracked or new; ignored build output such as .bench_build is skipped).
+fmt:
+	@out=$$(gofmt -l $$(git ls-files -co --exclude-standard '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needs to reformat:"; echo "$$out"; exit 1; fi
+
+# perfbench is its own module, so the root build never compiles the
+# benchmark adapter; vet it so an entry-point change cannot break the
+# benchmark unnoticed.
+vet-bench:
+	cd perfbench && $(GO) vet .
 
 # Alias kept for muscle memory; check-race is the single race gate.
 race: check-race
@@ -95,4 +107,4 @@ smoke:
 # CI entry point: everything that must be green before merging. Perf-
 # sensitive changes should additionally run `make bench-compare` against
 # the committed BENCH_* baselines (see the bench-compare target above).
-check: build vet test check-race oracle
+check: build fmt vet vet-bench test check-race oracle

@@ -7,7 +7,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/elastic"
 	"repro/internal/embedding"
-	"repro/internal/eval"
 	"repro/internal/experiments"
 	"repro/internal/fft"
 	"repro/internal/sliding"
@@ -33,7 +32,7 @@ func BenchmarkTable2LockStep(b *testing.B) {
 	opts := benchOpts()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab := experiments.Table2(opts)
+		tab := Table2(opts)
 		if len(tab.Rows) == 0 {
 			b.Fatal("Table 2 produced no rows")
 		}
@@ -44,7 +43,7 @@ func BenchmarkTable3Sliding(b *testing.B) {
 	opts := benchOpts()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab := experiments.Table3(opts)
+		tab := Table3(opts)
 		if len(tab.Rows) == 0 {
 			b.Fatal("Table 3 produced no rows")
 		}
@@ -56,7 +55,7 @@ func BenchmarkTable5Elastic(b *testing.B) {
 	opts.GridStride = 10
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab := experiments.Table5(opts)
+		tab := Table5(opts)
 		if len(tab.Rows) == 0 {
 			b.Fatal("Table 5 produced no rows")
 		}
@@ -68,7 +67,7 @@ func BenchmarkTable6Kernel(b *testing.B) {
 	opts.GridStride = 10
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab := experiments.Table6(opts)
+		tab := Table6(opts)
 		if len(tab.Rows) == 0 {
 			b.Fatal("Table 6 produced no rows")
 		}
@@ -79,7 +78,7 @@ func BenchmarkTable7Embedding(b *testing.B) {
 	opts := benchOpts()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab := experiments.Table7(opts)
+		tab := Table7(opts)
 		if len(tab.Rows) != 4 {
 			b.Fatal("Table 7 should have 4 rows")
 		}
@@ -89,21 +88,21 @@ func BenchmarkTable7Embedding(b *testing.B) {
 func BenchmarkFigure2(b *testing.B) {
 	opts := benchOpts()
 	for i := 0; i < b.N; i++ {
-		experiments.Figure2(opts)
+		Figure2(opts)
 	}
 }
 
 func BenchmarkFigure3(b *testing.B) {
 	opts := benchOpts()
 	for i := 0; i < b.N; i++ {
-		experiments.Figure3(opts)
+		Figure3(opts)
 	}
 }
 
 func BenchmarkFigure4(b *testing.B) {
 	opts := benchOpts()
 	for i := 0; i < b.N; i++ {
-		experiments.Figure4(opts)
+		Figure4(opts)
 	}
 }
 
@@ -111,14 +110,14 @@ func BenchmarkFigure5(b *testing.B) {
 	opts := benchOpts()
 	opts.GridStride = 10
 	for i := 0; i < b.N; i++ {
-		experiments.Figure5(opts)
+		Figure5(opts)
 	}
 }
 
 func BenchmarkFigure6(b *testing.B) {
 	opts := benchOpts()
 	for i := 0; i < b.N; i++ {
-		experiments.Figure6(opts)
+		Figure6(opts)
 	}
 }
 
@@ -126,21 +125,21 @@ func BenchmarkFigure7(b *testing.B) {
 	opts := benchOpts()
 	opts.GridStride = 10
 	for i := 0; i < b.N; i++ {
-		experiments.Figure7(opts)
+		Figure7(opts)
 	}
 }
 
 func BenchmarkFigure8(b *testing.B) {
 	opts := benchOpts()
 	for i := 0; i < b.N; i++ {
-		experiments.Figure8(opts)
+		Figure8(opts)
 	}
 }
 
 func BenchmarkFigure9(b *testing.B) {
 	opts := benchOpts()
 	for i := 0; i < b.N; i++ {
-		pts := experiments.Figure9(opts)
+		pts := Figure9(opts)
 		if len(pts) != 11 {
 			b.Fatal("Figure 9 should have 11 points")
 		}
@@ -150,7 +149,7 @@ func BenchmarkFigure9(b *testing.B) {
 func BenchmarkFigure10(b *testing.B) {
 	opts := benchOpts()
 	for i := 0; i < b.N; i++ {
-		experiments.Figure10(opts, 64, []int{8, 16, 32, 64})
+		Figure10(opts, 64, []int{8, 16, 32, 64})
 	}
 }
 
@@ -267,7 +266,7 @@ func BenchmarkAblationGRAILLandmarks(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				g := &embedding.GRAIL{Gamma: 5, Dim: dim, Seed: 1}
 				g.Fit(d.Train)
-				eval.Matrix(embedding.Measure{E: g}, d.Test, d.Train)
+				DistanceMatrix(embedding.Measure{E: g}, d.Test, d.Train)
 			}
 		})
 	}
@@ -283,19 +282,19 @@ func BenchmarkMatrixParallelism(b *testing.B) {
 	b.Run("euclidean", func(b *testing.B) {
 		m := Euclidean()
 		for i := 0; i < b.N; i++ {
-			eval.Matrix(m, d.Test, d.Train)
+			DistanceMatrix(m, d.Test, d.Train)
 		}
 	})
 	b.Run("sbd", func(b *testing.B) {
 		m := SBD()
 		for i := 0; i < b.N; i++ {
-			eval.Matrix(m, d.Test, d.Train)
+			DistanceMatrix(m, d.Test, d.Train)
 		}
 	})
 	b.Run("dtw10", func(b *testing.B) {
 		m := DTW(10)
 		for i := 0; i < b.N; i++ {
-			eval.Matrix(m, d.Test, d.Train)
+			DistanceMatrix(m, d.Test, d.Train)
 		}
 	})
 }

@@ -13,8 +13,8 @@
 // small to benefit from approximation.
 //
 // The package sits below internal/corpus (snapshots own a fitted Index
-// per measure) and internal/search (OneNNApprox/KNNApprox drive Queriers
-// in parallel); it must not import either.
+// per measure) and internal/search (KNNApproxCtx drives Queriers in
+// parallel); it must not import either.
 package ann
 
 import (
@@ -104,16 +104,6 @@ type Stats struct {
 	Fallback bool
 }
 
-// ExactState carries per-reference prepared state adopted from a corpus
-// snapshot so the index shares rather than recomputes it: Bounds[i] is a
-// filled bound context for reference i (nil slice when the measure is
-// not LowerBounded), Prep[i] its prepared state (nil slice when not
-// Stateful).
-type ExactState struct {
-	Bounds []measure.BoundContext
-	Prep   []any
-}
-
 // Index is a fitted embed–index–rerank structure over one corpus and one
 // exact measure. It is immutable after construction and safe for
 // concurrent use through per-goroutine Queriers.
@@ -126,7 +116,8 @@ type Index struct {
 	reps     [][]float64
 	tree     *index.VPTree
 
-	// Optional exact fast paths, resolved once.
+	// Optional exact fast paths, resolved once. stateful is set only for
+	// measures that are not LowerBounded, matching measure.RefState.
 	lb       measure.LowerBounded
 	ea       measure.EarlyAbandoning
 	stateful measure.Stateful
@@ -134,32 +125,20 @@ type Index struct {
 	prep     []any                  // per-ref, when stateful != nil
 }
 
-// Build constructs the index; see BuildCtx.
-func Build(refs [][]float64, m measure.Measure, cfg Config) *Index {
-	ix, err := BuildCtx(context.Background(), refs, m, cfg)
-	if err != nil {
-		panic(fmt.Sprintf("ann: Build: impossible error %v", err))
-	}
-	return ix
-}
-
 // BuildCtx fits the GRAIL embedder on the corpus, transforms every
-// series in parallel, and indexes the representations; ctx is observed
-// by the fit, the transform fan-out, and the tree build. An empty corpus
+// series in parallel, indexes the representations, and prepares the exact
+// re-rank state, adopting st's bound contexts or prepared states (e.g. a
+// corpus snapshot's) instead of rebuilding them; a non-nil slice in st
+// must have one entry per reference. ctx is observed by the fit, the
+// transform fan-out, the tree build and the state fill. An empty corpus
 // builds an empty index whose searches return no neighbors.
-func BuildCtx(ctx context.Context, refs [][]float64, m measure.Measure, cfg Config) (*Index, error) {
-	return BuildPreparedCtx(ctx, refs, m, cfg, ExactState{})
-}
-
-// BuildPreparedCtx is BuildCtx adopting already-computed exact state
-// (bound contexts, prepared states) from a corpus snapshot instead of
-// rebuilding it. Either slice may be nil; a non-nil slice must have one
-// entry per reference.
-func BuildPreparedCtx(ctx context.Context, refs [][]float64, m measure.Measure, cfg Config, st ExactState) (*Index, error) {
+func BuildCtx(ctx context.Context, refs [][]float64, m measure.Measure, cfg Config, st measure.RefState) (*Index, error) {
 	ix := &Index{m: m, refs: refs, cfg: cfg}
 	ix.lb, _ = m.(measure.LowerBounded)
 	ix.ea, _ = m.(measure.EarlyAbandoning)
-	ix.stateful, _ = m.(measure.Stateful)
+	if ix.lb == nil {
+		ix.stateful, _ = m.(measure.Stateful)
+	}
 	if len(refs) == 0 {
 		return ix, nil
 	}
@@ -190,35 +169,11 @@ func BuildPreparedCtx(ctx context.Context, refs [][]float64, m measure.Measure, 
 	}
 	ix.tree = tree
 
-	// Exact re-rank state: adopt the snapshot's when provided, otherwise
-	// build it here (in parallel — bound fills and preparations are
-	// independent per series).
-	if ix.lb != nil {
-		if st.Bounds != nil {
-			ix.bounds = st.Bounds
-		} else {
-			ix.bounds = make([]measure.BoundContext, len(refs))
-			if err := par.ForCtx(ctx, len(refs), par.Workers(len(refs)), func(i int) {
-				c := ix.lb.NewBoundContext(len(refs[i]))
-				c.Fill(refs[i])
-				ix.bounds[i] = c
-			}); err != nil {
-				return nil, err
-			}
-		}
+	st, err = measure.BuildRefState(ctx, m, refs, st)
+	if err != nil {
+		return nil, err
 	}
-	if ix.stateful != nil {
-		if st.Prep != nil {
-			ix.prep = st.Prep
-		} else {
-			ix.prep = make([]any, len(refs))
-			if err := par.ForCtx(ctx, len(refs), par.Workers(len(refs)), func(i int) {
-				ix.prep[i] = ix.stateful.Prepare(refs[i])
-			}); err != nil {
-				return nil, err
-			}
-		}
-	}
+	ix.bounds, ix.prep = st.Bounds, st.Prep
 	return ix, nil
 }
 

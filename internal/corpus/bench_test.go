@@ -35,17 +35,18 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 		query := d.Test[:1]
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			search.OneNN(m, query, d.Train)
+			search.OneNNCtx(context.Background(), m, query, d.Train)
 		}
 	})
 	b.Run("onenn-sink/warm", func(b *testing.B) {
 		d := benchDataset(128, 8)
 		m := kernel.SINK{Gamma: 5}
 		query := d.Test[:1]
-		snap := corpus.Build(d.Train, corpus.Options{Measures: []measure.Measure{m}})
+		snap := build(d.Train, corpus.Options{Measures: []measure.Measure{m}})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			search.OneNNSnapshot(m, query, d.Train, snap)
+			ix, _ := search.NewIndexSnapshotCtx(context.Background(), m, d.Train, snap)
+			ix.OneNNCtx(context.Background(), query)
 		}
 	})
 	b.Run("tuning-sink/cold", func(b *testing.B) {
@@ -53,7 +54,7 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 		g := eval.Thin(eval.SINKGrid(), 2)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			eval.TuneSupervised(g, d.Train, d.TrainLabels)
+			eval.TuneSupervisedCtx(context.Background(), g, d.Train, d.TrainLabels, nil)
 		}
 	})
 	b.Run("tuning-sink/warm", func(b *testing.B) {
@@ -63,7 +64,7 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 		// result from the LRU when resident (every request after the
 		// first), falling back to a snapshot-backed sweep on a miss.
 		cache := corpus.NewCache(8)
-		snap := corpus.Build(d.Train, corpus.Options{Measures: g.Candidates})
+		snap := build(d.Train, corpus.Options{Measures: g.Candidates})
 		ctx := context.Background()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -71,7 +72,7 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 			// the cache key; keep that cost inside the timed loop.
 			k := corpus.Key{FP: corpus.FingerprintOf(d.Train), Measure: g.Name, Band: "tuned/stride=2"}
 			cache.GetOrBuildCtx(ctx, k, func(ctx context.Context) (any, error) {
-				m, acc, err := eval.TuneSupervisedSnapshotCtx(ctx, g, d.Train, d.TrainLabels, snap)
+				m, acc, _, err := eval.TuneSupervisedCtx(ctx, g, d.Train, d.TrainLabels, snap)
 				if err != nil {
 					return nil, err
 				}
@@ -87,6 +88,6 @@ func BenchmarkSnapshotBuild(b *testing.B) {
 	m := kernel.SINK{Gamma: 5}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		corpus.Build(d.Train, corpus.Options{Measures: []measure.Measure{m}})
+		build(d.Train, corpus.Options{Measures: []measure.Measure{m}})
 	}
 }

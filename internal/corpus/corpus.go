@@ -10,12 +10,13 @@
 //
 // A Snapshot is built once, in parallel, under a cancellable context, and
 // is immutable afterwards: every accessor returns state that is only ever
-// read. The search and eval layers accept a snapshot through their
-// *SnapshotCtx entry points and produce results bitwise identical to their
-// inline-preparation paths — the snapshot changes where per-series state
-// comes from, never what is computed from it. A nil snapshot (or one that
-// does not cover the series at hand) falls back to inline preparation, so
-// existing callers and goldens are untouched.
+// read. Every search, eval and ann entry point that prepares per-series
+// state takes an optional snapshot and adopts its state through
+// Snapshot.RefState and measure.BuildRefState, producing results bitwise
+// identical to inline preparation — the snapshot changes where per-series
+// state comes from, never what is computed from it. A nil snapshot (or one
+// that does not cover the series at hand) prepares inline through the same
+// code.
 //
 // Snapshots are identified by a content Fingerprint (series count, total
 // points, FNV-1a hash over lengths and raw float bits) so the Cache in
@@ -189,12 +190,6 @@ type Snapshot struct {
 	hitCores    atomic.Int64
 }
 
-// Build is BuildCtx over a background context.
-func Build(series [][]float64, opts Options) *Snapshot {
-	s, _ := BuildCtx(context.Background(), series, opts)
-	return s
-}
-
 // BuildCtx builds a snapshot of series, computing every requested section
 // in parallel over par.ForCtx. On a non-nil error the snapshot is
 // unusable. The series slices are retained, not copied: the caller must
@@ -228,15 +223,11 @@ func BuildCtx(ctx context.Context, series [][]float64, opts Options) (*Snapshot,
 		}
 		switch mm := m.(type) {
 		case measure.LowerBounded:
-			ctxs := make([]measure.BoundContext, n)
-			if err := par.ForCtx(ctx, n, par.Workers(n), func(i int) {
-				c := mm.NewBoundContext(len(series[i]))
-				c.Fill(series[i])
-				ctxs[i] = c
-			}); err != nil {
+			st, err := measure.BuildRefState(ctx, mm, series, measure.RefState{})
+			if err != nil {
 				return nil, err
 			}
-			s.bounds[name] = ctxs
+			s.bounds[name] = st.Bounds
 		case measure.GridStateful:
 			cores, err := s.familyCores(ctx, mm, series)
 			if err != nil {
@@ -259,20 +250,14 @@ func BuildCtx(ctx context.Context, series [][]float64, opts Options) (*Snapshot,
 				}
 			}
 			if !aliased {
-				prep, err := prepareAll(ctx, mm, series)
-				if err != nil {
+				if err := s.prepare(ctx, mm, series); err != nil {
 					return nil, err
 				}
-				s.prep[name] = prep
-				s.shares = append(s.shares, sharedPrep{owner: mm, prep: prep})
 			}
 		case measure.Stateful:
-			prep, err := prepareAll(ctx, mm, series)
-			if err != nil {
+			if err := s.prepare(ctx, mm, series); err != nil {
 				return nil, err
 			}
-			s.prep[name] = prep
-			s.shares = append(s.shares, sharedPrep{owner: mm, prep: prep})
 		}
 	}
 
@@ -314,8 +299,8 @@ func BuildCtx(ctx context.Context, series [][]float64, opts Options) (*Snapshot,
 		if _, ok := s.annIdx[name]; ok {
 			continue
 		}
-		st := ann.ExactState{Bounds: s.bounds[name], Prep: s.prep[name]}
-		ix, err := ann.BuildPreparedCtx(ctx, series, spec.Measure, spec.Config, st)
+		st := measure.RefState{Bounds: s.bounds[name], Prep: s.prep[name]}
+		ix, err := ann.BuildCtx(ctx, series, spec.Measure, spec.Config, st)
 		if err != nil {
 			return nil, err
 		}
@@ -342,12 +327,16 @@ func (s *Snapshot) familyCores(ctx context.Context, gs measure.GridStateful, ser
 	return cores, nil
 }
 
-func prepareAll(ctx context.Context, sm measure.Stateful, series [][]float64) ([]any, error) {
-	out := make([]any, len(series))
-	err := par.ForCtx(ctx, len(series), par.Workers(len(series)), func(i int) {
-		out[i] = sm.Prepare(series[i])
-	})
-	return out, err
+// prepare stores sm's Prepare outputs under its name and offers them to
+// later PreparationSharing family members.
+func (s *Snapshot) prepare(ctx context.Context, sm measure.Stateful, series [][]float64) error {
+	st, err := measure.BuildRefState(ctx, sm, series, measure.RefState{})
+	if err != nil {
+		return err
+	}
+	s.prep[sm.Name()] = st.Prep
+	s.shares = append(s.shares, sharedPrep{owner: sm, prep: st.Prep})
+	return nil
 }
 
 func allFinite(x []float64) bool {
@@ -446,6 +435,34 @@ func (s *Snapshot) PreparedStates(ctx context.Context, m measure.Measure) ([]any
 		return nil, err
 	}
 	return states, nil
+}
+
+// RefState returns the per-series state of m that the snapshot can serve
+// for series, for measure.BuildRefState to adopt: the filled bound
+// contexts of a LowerBounded m, otherwise the stored prepared states of a
+// Stateful m — or, with specialize, PreparedStates, which also derives
+// them from m's GridStateful family core. It is the zero RefState when s
+// is nil, does not cover series, or holds nothing for m; the error is
+// non-nil only when specialization was cancelled.
+func (s *Snapshot) RefState(ctx context.Context, m measure.Measure, series [][]float64, specialize bool) (measure.RefState, error) {
+	var st measure.RefState
+	if !s.Covers(series) {
+		return st, nil
+	}
+	if _, ok := m.(measure.LowerBounded); ok {
+		st.Bounds = s.BoundContexts(m)
+		return st, nil
+	}
+	if _, ok := m.(measure.Stateful); !ok {
+		return st, nil
+	}
+	if !specialize {
+		st.Prep = s.Prepared(m)
+		return st, nil
+	}
+	var err error
+	st.Prep, err = s.PreparedStates(ctx, m)
+	return st, err
 }
 
 // BoundContexts returns the per-series filled bound contexts of m, or nil

@@ -14,6 +14,12 @@ import (
 	"repro/internal/measure"
 )
 
+// build runs BuildCtx under a background context, which never cancels.
+func build(series [][]float64, opts corpus.Options) *corpus.Snapshot {
+	s, _ := corpus.BuildCtx(context.Background(), series, opts)
+	return s
+}
+
 // testSeries returns n deterministic pseudo-random series of length m.
 func testSeries(seed int64, n, m int) [][]float64 {
 	rng := rand.New(rand.NewSource(seed))
@@ -75,7 +81,7 @@ func TestFingerprintDistinguishesBitPatterns(t *testing.T) {
 
 func TestCovers(t *testing.T) {
 	series := testSeries(5, 4, 8)
-	s := corpus.Build(series, corpus.Options{})
+	s := build(series, corpus.Options{})
 	if !s.Covers(series) {
 		t.Fatalf("snapshot does not cover its own series")
 	}
@@ -97,7 +103,7 @@ func TestCovers(t *testing.T) {
 
 func TestBuildSections(t *testing.T) {
 	series := testSeries(6, 8, 32)
-	s := corpus.Build(series, corpus.Options{Measures: []measure.Measure{
+	s := build(series, corpus.Options{Measures: []measure.Measure{
 		elastic.DTW{DeltaPercent: 10}, // LowerBounded -> bounds
 		kernel.SINK{Gamma: 1},         // GridStateful -> prep + family core
 		kernel.SINK{Gamma: 2},         // same family, second prep entry
@@ -134,7 +140,7 @@ func TestPreparedStatesBitwise(t *testing.T) {
 		kernel.SINK{Gamma: 5},
 		kernel.GAK{Sigma: 1},
 	} {
-		s := corpus.Build(series, corpus.Options{Measures: []measure.Measure{sm}})
+		s := build(series, corpus.Options{Measures: []measure.Measure{sm}})
 		got, err := s.PreparedStates(context.Background(), sm)
 		if err != nil {
 			t.Fatalf("%s: PreparedStates: %v", sm.Name(), err)
@@ -158,7 +164,7 @@ func TestPreparedStatesBitwise(t *testing.T) {
 // must match that gamma's own Prepare bitwise (GridStateful contract).
 func TestPreparedStatesSpecializeFromCores(t *testing.T) {
 	series := testSeries(8, 5, 32)
-	s := corpus.Build(series, corpus.Options{Measures: []measure.Measure{kernel.SINK{Gamma: 1}}})
+	s := build(series, corpus.Options{Measures: []measure.Measure{kernel.SINK{Gamma: 1}}})
 	unseen := kernel.SINK{Gamma: 9}
 	got, err := s.PreparedStates(context.Background(), unseen)
 	if err != nil || got == nil {
@@ -180,7 +186,7 @@ func TestFiniteFlags(t *testing.T) {
 		{1, math.Inf(1), 3},
 		{},
 	}
-	s := corpus.Build(series, corpus.Options{})
+	s := build(series, corpus.Options{})
 	want := []bool{true, false, false, true}
 	for i, w := range want {
 		if s.Finite()[i] != w {
@@ -192,7 +198,7 @@ func TestFiniteFlags(t *testing.T) {
 func TestPAAAndSAXWordsMatchIndex(t *testing.T) {
 	series := testSeries(9, 7, 40)
 	const segments, alphabet = 8, 4
-	s := corpus.Build(series, corpus.Options{
+	s := build(series, corpus.Options{
 		PAASegments: []int{segments},
 		SAX:         []corpus.SAXSpec{{Segments: segments, Alphabet: alphabet}},
 	})
@@ -220,7 +226,7 @@ func TestPAAAndSAXWordsMatchIndex(t *testing.T) {
 
 func TestEmptySeriesSkipWords(t *testing.T) {
 	series := [][]float64{{1, 2, 3, 4}, {}}
-	s := corpus.Build(series, corpus.Options{
+	s := build(series, corpus.Options{
 		PAASegments: []int{2},
 		SAX:         []corpus.SAXSpec{{Segments: 2, Alphabet: 3}},
 	})
@@ -238,7 +244,7 @@ func TestEDIndexWithSnapshotPAA(t *testing.T) {
 	refs := testSeries(10, 20, 48)
 	queries := testSeries(11, 5, 48)
 	const segments = 8
-	s := corpus.Build(refs, corpus.Options{PAASegments: []int{segments}})
+	s := build(refs, corpus.Options{PAASegments: []int{segments}})
 	inline := index.NewEDIndex(refs, segments)
 	reused := index.NewEDIndexWithPAA(refs, s.PAA(segments), segments)
 	for qi, q := range queries {
@@ -265,7 +271,7 @@ func TestHitCounters(t *testing.T) {
 	series := testSeries(13, 4, 16)
 	sink := kernel.SINK{Gamma: 3}
 	dtw := elastic.DTW{DeltaPercent: 10}
-	s := corpus.Build(series, corpus.Options{Measures: []measure.Measure{sink, dtw}})
+	s := build(series, corpus.Options{Measures: []measure.Measure{sink, dtw}})
 	if h := s.Hits(); h.Total() != 0 {
 		t.Fatalf("fresh snapshot has hits: %+v", h)
 	}
@@ -285,7 +291,7 @@ func TestHitCounters(t *testing.T) {
 func TestSnapshotANNIndex(t *testing.T) {
 	series := testSeries(21, 48, 64)
 	dtw := elastic.DTW{DeltaPercent: 10}
-	snap := corpus.Build(series, corpus.Options{
+	snap := build(series, corpus.Options{
 		Measures: []measure.Measure{dtw},
 		ANN: []corpus.ANNSpec{
 			{Measure: dtw, Config: ann.Config{Candidates: 8, Seed: 1}},
@@ -304,7 +310,10 @@ func TestSnapshotANNIndex(t *testing.T) {
 	}
 	// The snapshot-built index must answer identically to a standalone
 	// build over the same corpus and config.
-	own := ann.Build(series, dtw, ann.Config{Candidates: 8, Seed: 1})
+	own, err := ann.BuildCtx(context.Background(), series, dtw, ann.Config{Candidates: 8, Seed: 1}, measure.RefState{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	qa, qb := ix.NewQuerier(), own.NewQuerier()
 	for trial := 0; trial < 6; trial++ {
 		q := series[trial*7]

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -14,6 +15,13 @@ import (
 	"repro/internal/sliding"
 )
 
+// matrix runs MatrixCtx under a background context (which never cancels)
+// without a snapshot.
+func matrix(m measure.Measure, queries, refs [][]float64) [][]float64 {
+	e, _ := MatrixCtx(context.Background(), m, queries, refs, nil)
+	return e
+}
+
 func toyDataset() *dataset.Dataset {
 	return dataset.Generate(dataset.Config{
 		Name: "Toy", Family: dataset.FamilyHarmonic, Length: 48,
@@ -24,7 +32,7 @@ func toyDataset() *dataset.Dataset {
 func TestMatrixShapeAndValues(t *testing.T) {
 	q := [][]float64{{0, 0}, {1, 1}}
 	r := [][]float64{{0, 0}, {3, 4}}
-	e := Matrix(lockstep.Euclidean(), q, r)
+	e := matrix(lockstep.Euclidean(), q, r)
 	if len(e) != 2 || len(e[0]) != 2 {
 		t.Fatalf("matrix shape %dx%d", len(e), len(e[0]))
 	}
@@ -44,7 +52,7 @@ func TestMatrixParallelMatchesSequential(t *testing.T) {
 		series[i] = s
 	}
 	m := lockstep.Manhattan()
-	e := Matrix(m, series, series)
+	e := matrix(m, series, series)
 	for i := 0; i < 10; i++ {
 		for j := 0; j < 10; j++ {
 			want := m.Distance(series[i], series[j])
@@ -66,7 +74,7 @@ func TestMatrixStatefulFastPathMatchesDirect(t *testing.T) {
 		series[i] = s
 	}
 	m := sliding.SBD() // implements measure.Stateful
-	e := Matrix(m, series[:6], series[6:])
+	e := matrix(m, series[:6], series[6:])
 	for i := 0; i < 6; i++ {
 		for j := 0; j < 6; j++ {
 			want := m.Distance(series[i], series[6+j])
@@ -84,7 +92,7 @@ func (nanMeasure) Name() string                    { return "nan" }
 func (nanMeasure) Distance(_, _ []float64) float64 { return math.NaN() }
 
 func TestMatrixSanitizesNaN(t *testing.T) {
-	e := Matrix(nanMeasure{}, [][]float64{{1}}, [][]float64{{2}})
+	e := matrix(nanMeasure{}, [][]float64{{1}}, [][]float64{{2}})
 	if !math.IsInf(e[0][0], 1) {
 		t.Fatalf("NaN not sanitized: %g", e[0][0])
 	}
@@ -149,7 +157,7 @@ func TestTuneSupervisedPicksBestCandidate(t *testing.T) {
 	// neighbor) and ED; ED should win on a structured dataset.
 	zero := measure.New("zero", func(_, _ []float64) float64 { return 0 })
 	g := Grid{Name: "test", Candidates: []measure.Measure{zero, lockstep.Euclidean()}}
-	chosen, acc := TuneSupervised(g, d.Train, d.TrainLabels)
+	chosen, acc, _, _ := TuneSupervisedCtx(context.Background(), g, d.Train, d.TrainLabels, nil)
 	if chosen.Name() != "euclidean" {
 		t.Fatalf("chose %s (acc %g), want euclidean", chosen.Name(), acc)
 	}
@@ -162,7 +170,7 @@ func TestTuneSupervisedTieKeepsGridOrder(t *testing.T) {
 	a := measure.New("a", func(x, y []float64) float64 { return lockstep.Euclidean().Distance(x, y) })
 	b := measure.New("b", func(x, y []float64) float64 { return lockstep.Euclidean().Distance(x, y) })
 	d := toyDataset()
-	chosen, _ := TuneSupervised(Grid{Name: "tie", Candidates: []measure.Measure{a, b}}, d.Train, d.TrainLabels)
+	chosen, _, _, _ := TuneSupervisedCtx(context.Background(), Grid{Name: "tie", Candidates: []measure.Measure{a, b}}, d.Train, d.TrainLabels, nil)
 	if chosen.Name() != "a" {
 		t.Fatalf("tie broke to %s, want first candidate", chosen.Name())
 	}
@@ -174,7 +182,7 @@ func TestTuneSupervisedEmptyGridPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	TuneSupervised(Grid{Name: "empty"}, [][]float64{{1}}, []int{1})
+	TuneSupervisedCtx(context.Background(), Grid{Name: "empty"}, [][]float64{{1}}, []int{1}, nil)
 }
 
 func TestNormalizeAppliesToBothSplits(t *testing.T) {
@@ -211,7 +219,7 @@ func TestNormalizeAppliesToBothSplits(t *testing.T) {
 
 func TestTestAccuracyBeatsChanceOnStructuredData(t *testing.T) {
 	d := toyDataset()
-	acc := TestAccuracy(lockstep.Euclidean(), d, norm.ZScore())
+	acc, _ := TestAccuracyCtx(context.Background(), lockstep.Euclidean(), d, norm.ZScore())
 	if acc <= 0.5 {
 		t.Fatalf("ED accuracy %g on a 2-class harmonic dataset, want > 0.5", acc)
 	}
@@ -220,7 +228,7 @@ func TestTestAccuracyBeatsChanceOnStructuredData(t *testing.T) {
 func TestSupervisedAccuracyRuns(t *testing.T) {
 	d := toyDataset()
 	g := Thin(DTWGrid(), 8)
-	acc, chosen := SupervisedAccuracy(g, d, nil)
+	acc, chosen, _ := SupervisedAccuracyCtx(context.Background(), g, d, nil)
 	if acc < 0 || acc > 1 {
 		t.Fatalf("accuracy %g out of range", acc)
 	}
@@ -300,8 +308,8 @@ func TestMatrixSymmetricTriangleMatchesFull(t *testing.T) {
 	}
 	sym := elastic.DTW{DeltaPercent: 10}
 	// The Func wrapper hides the Symmetric marker, forcing the full scan.
-	full := Matrix(measure.New("dtw-opaque", sym.Distance), series, series)
-	tri := Matrix(sym, series, series)
+	full := matrix(measure.New("dtw-opaque", sym.Distance), series, series)
+	tri := matrix(sym, series, series)
 	for i := range series {
 		for j := range series {
 			if tri[i][j] != full[i][j] {
@@ -384,8 +392,8 @@ func TestMatrixSelfMatrixerBulkPathMatchesGeneric(t *testing.T) {
 	// The Func wrapper hides SelfMatrixer, forcing the generic per-pair
 	// path; the direct call takes the GramEngine bulk path. The two must
 	// agree bitwise (after shared NaN sanitization).
-	generic := Matrix(measure.New("sink-opaque", s.Distance), series, series)
-	bulk := Matrix(s, series, series)
+	generic := matrix(measure.New("sink-opaque", s.Distance), series, series)
+	bulk := matrix(s, series, series)
 	for i := range series {
 		for j := range series {
 			if bulk[i][j] != generic[i][j] {
@@ -396,7 +404,7 @@ func TestMatrixSelfMatrixerBulkPathMatchesGeneric(t *testing.T) {
 	// A rectangular (test-by-train) call must not take the bulk path and
 	// still match the generic result.
 	queries := series[:7]
-	rect := Matrix(s, queries, series)
+	rect := matrix(s, queries, series)
 	for i := range queries {
 		for j := range series {
 			if rect[i][j] != generic[i][j] {

@@ -41,8 +41,8 @@ func TestMatrixPanelBitwise(t *testing.T) {
 		if _, ok := m.(measure.PanelEvaluator); !ok {
 			t.Fatalf("%s: expected a PanelEvaluator", m.Name())
 		}
-		got := Matrix(m, queries, refs)
-		want := Matrix(noPanel{m}, queries, refs)
+		got := matrix(m, queries, refs)
+		want := matrix(noPanel{m}, queries, refs)
 		for i := range want {
 			for j := range want[i] {
 				if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {

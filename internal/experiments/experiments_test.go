@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -8,9 +9,32 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/eval"
 	"repro/internal/lockstep"
+	"repro/internal/measure"
 	"repro/internal/norm"
+	"repro/internal/run"
 	"repro/internal/sliding"
 )
+
+// bg runs an experiment driver under a background context without a
+// progress reporter, failing the test on an error.
+func bg[T any](t *testing.T, driver func(context.Context, Options, run.Reporter) (T, error), o Options) T {
+	t.Helper()
+	v, err := driver(context.Background(), o, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// combo runs EvaluateComboCtx under a background context.
+func combo(t *testing.T, archive []*dataset.Dataset, m measure.Measure, n norm.Normalizer) Combo {
+	t.Helper()
+	c, err := EvaluateComboCtx(context.Background(), archive, m, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
 
 // tinyOpts builds a small deterministic option set that keeps every
 // experiment driver fast enough for unit tests.
@@ -45,7 +69,7 @@ func TestComboMean(t *testing.T) {
 
 func TestEvaluateComboAccuraciesInRange(t *testing.T) {
 	o := tinyOpts()
-	c := EvaluateCombo(o.Archive, lockstep.Euclidean(), norm.ZScore())
+	c := combo(t, o.Archive, lockstep.Euclidean(), norm.ZScore())
 	if len(c.Accs) != len(o.Archive) {
 		t.Fatalf("accs %d, want %d", len(c.Accs), len(o.Archive))
 	}
@@ -99,7 +123,7 @@ func TestTableRenderContainsBaseline(t *testing.T) {
 
 func TestTable2ShapeAndPhenomena(t *testing.T) {
 	o := tinyOpts()
-	tab := Table2(o)
+	tab := bg(t, Table2Ctx, o)
 	if tab.Baseline.Measure != "euclidean" {
 		t.Fatalf("baseline = %s", tab.Baseline.Measure)
 	}
@@ -125,7 +149,7 @@ func TestTable2ShapeAndPhenomena(t *testing.T) {
 
 func TestTable3SlidingBeatsLockstep(t *testing.T) {
 	o := tinyOpts()
-	tab := Table3(o)
+	tab := bg(t, Table3Ctx, o)
 	// NCCc with z-score must appear above the Lorentzian baseline on the
 	// shift-heavy synthetic archive (misconception M3's setup).
 	var found *Row
@@ -145,7 +169,7 @@ func TestTable3SlidingBeatsLockstep(t *testing.T) {
 
 func TestTable5ContainsBothProtocols(t *testing.T) {
 	o := tinyOpts()
-	tab := Table5(o)
+	tab := bg(t, Table5Ctx, o)
 	var loocv, fixed int
 	for _, r := range tab.Rows {
 		switch r.Scaling {
@@ -169,7 +193,7 @@ func TestTable5ContainsBothProtocols(t *testing.T) {
 func TestTable6KernelsEvaluated(t *testing.T) {
 	o := tinyOpts()
 	o.GridStride = 8
-	tab := Table6(o)
+	tab := bg(t, Table6Ctx, o)
 	if len(tab.Rows) != 8 { // 4 supervised + 4 fixed
 		t.Fatalf("rows = %d, want 8", len(tab.Rows))
 	}
@@ -194,7 +218,7 @@ func TestTable6KernelsEvaluated(t *testing.T) {
 
 func TestTable7EmbeddingsEvaluated(t *testing.T) {
 	o := tinyOpts()
-	tab := Table7(o)
+	tab := bg(t, Table7Ctx, o)
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(tab.Rows))
 	}
@@ -220,7 +244,7 @@ func TestTable4Renders(t *testing.T) {
 
 func TestFigure2Ranking(t *testing.T) {
 	o := tinyOpts()
-	r := Figure2(o)
+	r := bg(t, Figure2Ctx, o)
 	if len(r.Names) != 6 {
 		t.Fatalf("names = %d, want 6", len(r.Names))
 	}
@@ -235,7 +259,7 @@ func TestFigure2Ranking(t *testing.T) {
 
 func TestFigure4NCCcBeatsBaseline(t *testing.T) {
 	o := tinyOpts()
-	r := Figure4(o)
+	r := bg(t, Figure4Ctx, o)
 	// The baseline (Lorentzian) is the last combo; NCCc/zscore the first.
 	ranks := r.Friedman.AvgRanks
 	if ranks[0] >= ranks[len(ranks)-1] {
@@ -246,10 +270,10 @@ func TestFigure4NCCcBeatsBaseline(t *testing.T) {
 func TestFigures5Through8Run(t *testing.T) {
 	o := tinyOpts()
 	o.GridStride = 10
-	for name, fn := range map[string]func(Options) Ranking{
-		"figure5": Figure5, "figure6": Figure6, "figure7": Figure7, "figure8": Figure8,
+	for name, fn := range map[string]func(context.Context, Options, run.Reporter) (Ranking, error){
+		"figure5": Figure5Ctx, "figure6": Figure6Ctx, "figure7": Figure7Ctx, "figure8": Figure8Ctx,
 	} {
-		r := fn(o)
+		r := bg(t, fn, o)
 		if len(r.Names) < 4 {
 			t.Errorf("%s: only %d methods", name, len(r.Names))
 		}
@@ -273,7 +297,7 @@ func TestFigure1Renders(t *testing.T) {
 
 func TestFigure9RuntimeOrdering(t *testing.T) {
 	o := tinyOpts()
-	pts := Figure9(o)
+	pts := bg(t, Figure9Ctx, o)
 	if len(pts) != 11 {
 		t.Fatalf("points = %d, want 11", len(pts))
 	}
@@ -302,7 +326,10 @@ func TestFigure9RuntimeOrdering(t *testing.T) {
 
 func TestFigure10Convergence(t *testing.T) {
 	o := tinyOpts()
-	pts := Figure10(o, 64, []int{8, 16, 32, 64})
+	pts, err := Figure10Ctx(context.Background(), o, nil, 64, []int{8, 16, 32, 64})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 5*4 {
 		t.Fatalf("points = %d, want 20", len(pts))
 	}
@@ -320,7 +347,10 @@ func TestFigure10Convergence(t *testing.T) {
 func TestEvaluateSupervisedUsesTuning(t *testing.T) {
 	o := tinyOpts()
 	g := eval.Thin(eval.DTWGrid(), 8)
-	c := EvaluateSupervised(o.Archive, g, nil)
+	c, err := EvaluateSupervisedCtx(context.Background(), o.Archive, g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if c.Scaling != "LOOCV" {
 		t.Fatalf("scaling = %s", c.Scaling)
 	}
@@ -346,8 +376,8 @@ func TestBuildRankingNames(t *testing.T) {
 func TestSBDSanity(t *testing.T) {
 	// Regression guard: the shared baseline must be deterministic.
 	o := tinyOpts()
-	a := EvaluateCombo(o.Archive, sliding.SBD(), nil)
-	b := EvaluateCombo(o.Archive, sliding.SBD(), nil)
+	a := combo(t, o.Archive, sliding.SBD(), nil)
+	b := combo(t, o.Archive, sliding.SBD(), nil)
 	for i := range a.Accs {
 		if a.Accs[i] != b.Accs[i] {
 			t.Fatal("baseline accuracies not deterministic")
@@ -361,7 +391,7 @@ func TestExtensionSVMImprovesOverOneNN(t *testing.T) {
 			Seed: 4, Count: 5, MaxLength: 40, MaxTrain: 12, MaxTest: 12,
 		}),
 	}.Defaults()
-	rows := ExtensionSVM(o)
+	rows := bg(t, ExtensionSVMCtx, o)
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(rows))
 	}

@@ -56,12 +56,6 @@ func (r IndexRow) Speedup() float64 {
 // reached the exact kth-best.
 const recallEps = 1e-9
 
-// IndexExperiment runs the ablation; see IndexExperimentCtx.
-func IndexExperiment(opts Options) []IndexRow {
-	rows, _ := IndexExperimentCtx(context.Background(), opts, nil)
-	return rows
-}
-
 // IndexExperimentCtx measures the approximate retrieval engine on every
 // archive dataset under DTW at the default candidate budget — small
 // corpora, where the adaptive budget covers the corpus and the exact
@@ -153,14 +147,18 @@ func indexRow(ctx context.Context, name string, refs, queries [][]float64, m mea
 
 	// Pruned exact engine, warm (snapshot-backed).
 	start = time.Now()
-	if _, err := search.OneNNSnapshotCtx(ctx, m, queries, refs, snap); err != nil {
+	ix, err := search.NewIndexSnapshotCtx(ctx, m, refs, snap)
+	if err != nil {
+		return row, err
+	}
+	if _, err := ix.OneNNCtx(ctx, queries); err != nil {
 		return row, err
 	}
 	row.Pruned = time.Since(start)
 
 	// Warm approximate 1-NN: the timed path and recall@1.
 	start = time.Now()
-	approx, err := search.OneNNApproxSnapshotCtx(ctx, m, queries, refs, cfg, snap)
+	approx, err := search.KNNApproxCtx(ctx, m, queries, refs, 1, cfg, snap)
 	row.ANN = time.Since(start)
 	if err != nil {
 		return row, err
@@ -179,7 +177,7 @@ func indexRow(ctx context.Context, name string, refs, queries [][]float64, m mea
 
 	// Recall@10 from the top-k surface (untimed: the 1-NN path above is
 	// the reported throughput).
-	topk, err := search.KNNApproxSnapshotCtx(ctx, m, queries, refs, k, cfg, snap)
+	topk, err := search.KNNApproxCtx(ctx, m, queries, refs, k, cfg, snap)
 	if err != nil {
 		return row, err
 	}

@@ -171,12 +171,6 @@ func pnorm3Window(x, y []float64) float64 {
 	return math.Pow(s, 1.0/3)
 }
 
-// ProfileExperiment runs the matrix-profile study without cancellation.
-func ProfileExperiment(opts Options) []ProfileRow {
-	rows, _ := ProfileExperimentCtx(context.Background(), opts, nil)
-	return rows
-}
-
 // ProfileExperimentCtx computes matrix profiles of the planted-pattern
 // series under three measures and three join modes, each against an
 // independent baseline formulation: STAMP (per-row FFT) for the classic

@@ -45,19 +45,14 @@ func (r SnapshotRow) Speedup() float64 {
 // same corpus; the warm path pays preparation once across all of them.
 const snapshotRequests = 4
 
-// SnapshotAblation measures what the prepared-state layer buys on three
+// SnapshotAblationCtx measures what the prepared-state layer buys on three
 // workload shapes: repeated 1-NN under SINK (preparation-heavy — one FFT
 // spectrum per series per request goes away), repeated 1-NN under DTW
 // (envelope fills go away, but the DP dominates, bounding the gain), and
 // repeated supervised DTW tuning (the whole sweep collapses to a
 // fingerprint lookup in the snapshot LRU after the first request).
-func SnapshotAblation(opts Options) []SnapshotRow {
-	rows, _ := SnapshotAblationCtx(context.Background(), opts, nil)
-	return rows
-}
-
-// SnapshotAblationCtx is SnapshotAblation honoring cancellation and
-// reporting per-workload progress; on a non-nil error the rows are partial.
+// It honors cancellation and reports per-workload progress; on a non-nil
+// error the rows are partial.
 func SnapshotAblationCtx(ctx context.Context, opts Options, rep run.Reporter) ([]SnapshotRow, error) {
 	opts = opts.Defaults()
 	workloads := []string{"1nn-sink", "1nn-dtw", "tune-dtw"}
@@ -108,7 +103,11 @@ func snapshotOneNN(ctx context.Context, opts Options, name string, m measure.Mea
 			return row, err
 		}
 		for r := 0; r < snapshotRequests; r++ {
-			res, err := search.OneNNSnapshotCtx(ctx, m, d.Test, d.Train, snap)
+			ix, err := search.NewIndexSnapshotCtx(ctx, m, d.Train, snap)
+			if err != nil {
+				return row, err
+			}
+			res, err := ix.OneNNCtx(ctx, d.Test)
 			if err != nil {
 				return row, err
 			}
@@ -138,7 +137,7 @@ func snapshotTuning(ctx context.Context, opts Options, name string, g eval.Grid)
 		var coldRes tuned
 		start := time.Now()
 		for r := 0; r < snapshotRequests; r++ {
-			m, acc, err := eval.TuneSupervisedCtx(ctx, g, d.Train, d.TrainLabels)
+			m, acc, _, err := eval.TuneSupervisedCtx(ctx, g, d.Train, d.TrainLabels, nil)
 			if err != nil {
 				return row, err
 			}
@@ -154,7 +153,7 @@ func snapshotTuning(ctx context.Context, opts Options, name string, g eval.Grid)
 		key := corpus.Key{FP: snap.Fingerprint(), Measure: g.Name, Band: fmt.Sprintf("tuned/stride=%d", opts.GridStride)}
 		for r := 0; r < snapshotRequests; r++ {
 			v, err := cache.GetOrBuildCtx(ctx, key, func(ctx context.Context) (any, error) {
-				m, acc, err := eval.TuneSupervisedSnapshotCtx(ctx, g, d.Train, d.TrainLabels, snap)
+				m, acc, _, err := eval.TuneSupervisedCtx(ctx, g, d.Train, d.TrainLabels, snap)
 				if err != nil {
 					return nil, err
 				}

@@ -48,19 +48,13 @@ func gramFromDist(m measure.Measure, dist [][]float64) [][]float64 {
 	return g
 }
 
-// ExtensionSVM evaluates each kernel function under both 1-NN and a
+// ExtensionSVMCtx evaluates each kernel function under both 1-NN and a
 // one-vs-rest kernel SVM (C = 10) on every archive dataset, returning the
 // mean accuracies. The same Gram matrices feed both classifiers, so the
 // comparison isolates the evaluation framework.
-func ExtensionSVM(opts Options) []SVMRow {
-	rows, _ := ExtensionSVMCtx(context.Background(), opts, nil)
-	return rows
-}
-
-// ExtensionSVMCtx is ExtensionSVM honoring cancellation (inside the
-// matrix fills and between datasets — the SVM solver itself runs to
-// completion per dataset) and reporting per-kernel progress; on a non-nil
-// error the rows are partial.
+// It honors cancellation (inside the matrix fills and between datasets —
+// the SVM solver itself runs to completion per dataset) and reports
+// per-kernel progress; on a non-nil error the rows are partial.
 func ExtensionSVMCtx(ctx context.Context, opts Options, rep run.Reporter) ([]SVMRow, error) {
 	opts = opts.Defaults()
 	kernels := []measure.Measure{
@@ -74,13 +68,13 @@ func ExtensionSVMCtx(ctx context.Context, opts Options, rep run.Reporter) ([]SVM
 	for _, k := range kernels {
 		var nnSum, svmSum float64
 		for i, d := range opts.Archive {
-			distTest, err := eval.MatrixCtx(ctx, k, d.Test, d.Train)
+			distTest, err := eval.MatrixCtx(ctx, k, d.Test, d.Train, nil)
 			if err != nil {
 				return rows, err
 			}
 			nnSum += eval.OneNN(distTest, d.TestLabels, d.TrainLabels)
 
-			distTrain, err := eval.MatrixCtx(ctx, k, d.Train, d.Train)
+			distTrain, err := eval.MatrixCtx(ctx, k, d.Train, d.Train, nil)
 			if err != nil {
 				return rows, err
 			}

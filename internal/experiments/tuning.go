@@ -36,20 +36,15 @@ func (r TuningRow) Speedup() float64 {
 	return float64(r.NaiveTime) / float64(r.EngineTime)
 }
 
-// TuningAblation quantifies what the grid engine buys over tuning each
+// TuningAblationCtx quantifies what the grid engine buys over tuning each
 // candidate independently, on four grid families chosen to isolate the
 // engine's optimizations: MSM (no declared grid structure — the engine's
 // overhead floor), DTW (warm-start chain, envelope arena, and the
 // pair-matrix bound), LCSS (pair-matrix pruning for a measure with no
 // lower bounds of its own), and SINK (preparation shared across the gamma
 // sweep).
-func TuningAblation(opts Options) []TuningRow {
-	rows, _ := TuningAblationCtx(context.Background(), opts, nil)
-	return rows
-}
-
-// TuningAblationCtx is TuningAblation honoring cancellation and reporting
-// per-grid progress; on a non-nil error the rows are partial.
+// It honors cancellation and reports per-grid progress; on a non-nil error
+// the rows are partial.
 func TuningAblationCtx(ctx context.Context, opts Options, rep run.Reporter) ([]TuningRow, error) {
 	opts = opts.Defaults()
 	grids := []eval.Grid{eval.MSMGrid(), eval.DTWGrid(), eval.LCSSGrid(), eval.SINKGrid()}
@@ -63,7 +58,11 @@ func TuningAblationCtx(ctx context.Context, opts Options, rep run.Reporter) ([]T
 			start := time.Now()
 			naiveIdx, naiveAcc := 0, -1.0
 			for i, cand := range g.Candidates {
-				res, err := search.LeaveOneOutCtx(ctx, cand, d.Train)
+				ix, err := search.NewIndexCtx(ctx, cand, d.Train)
+				if err != nil {
+					return rows, err
+				}
+				res, err := ix.LeaveOneOutCtx(ctx)
 				if err != nil {
 					return rows, err
 				}

@@ -158,9 +158,9 @@ func (t *VPTree) build(ctx context.Context, idxs []int, seed uint64, budget int)
 	outSeed := splitmix64(seed ^ 0xc2b2ae3d27d4eb4f)
 	if budget > 1 && len(inside) >= parSubtreeMin && len(outside) >= parSubtreeMin {
 		var (
-			wg   sync.WaitGroup
-			inN  *vpNode
-			inE  error
+			wg  sync.WaitGroup
+			inN *vpNode
+			inE error
 		)
 		wg.Add(1)
 		go func() {

@@ -13,6 +13,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+
+	"repro/internal/par"
 )
 
 // Measure is a dissimilarity between two equal-length time series.
@@ -226,6 +228,48 @@ type BoundSharing interface {
 	// RebindBoundContext adapts c (created by a SharesBounds candidate) to
 	// this measure and refills it for x, reusing c's buffers. It returns c.
 	RebindBoundContext(c BoundContext, x []float64) BoundContext
+}
+
+// RefState is the per-reference state an engine prepares once for
+// repeated queries under one measure: filled bound contexts when the
+// measure is LowerBounded, otherwise Prepare outputs when it is Stateful.
+// At most one slice is non-nil, and a non-nil slice holds one entry per
+// reference series.
+type RefState struct {
+	Bounds []BoundContext
+	Prep   []any
+}
+
+// BuildRefState returns m's per-reference state over series, adopting
+// have's slice for m's capability when it is non-nil (e.g. a corpus
+// snapshot's, which must then be treated as read-only) and otherwise
+// filling one in parallel under ctx. Measures that are neither
+// LowerBounded nor Stateful need no state and get the zero RefState.
+func BuildRefState(ctx context.Context, m Measure, series [][]float64, have RefState) (RefState, error) {
+	n := len(series)
+	if lb, ok := m.(LowerBounded); ok {
+		if have.Bounds != nil {
+			return RefState{Bounds: have.Bounds}, nil
+		}
+		st := RefState{Bounds: make([]BoundContext, n)}
+		err := par.ForCtx(ctx, n, par.Workers(n), func(i int) {
+			c := lb.NewBoundContext(len(series[i]))
+			c.Fill(series[i])
+			st.Bounds[i] = c
+		})
+		return st, err
+	}
+	if sm, ok := m.(Stateful); ok {
+		if have.Prep != nil {
+			return RefState{Prep: have.Prep}, nil
+		}
+		st := RefState{Prep: make([]any, n)}
+		err := par.ForCtx(ctx, n, par.Workers(n), func(i int) {
+			st.Prep[i] = sm.Prepare(series[i])
+		})
+		return st, err
+	}
+	return RefState{}, nil
 }
 
 // Func adapts a plain function to the Measure interface.

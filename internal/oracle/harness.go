@@ -10,7 +10,6 @@ import (
 	"repro/internal/elastic"
 	"repro/internal/eval"
 	"repro/internal/measure"
-	"repro/internal/search"
 )
 
 // wavefronter is the diagonal-blocked parallel DP route the elastic
@@ -386,8 +385,8 @@ func CheckEngines(r *Report, m measure.Measure, queries, refs [][]float64) {
 	name := m.Name()
 	call(r, name, "engine", "OneNN", func() {
 		r.Checks++
-		got := search.OneNN(m, queries, refs)
-		e := eval.Matrix(m, queries, refs)
+		got := oneNN(m, queries, refs, nil)
+		e := dissimilarities(m, queries, refs, nil)
 		want := eval.Neighbors(e)
 		for i := range want {
 			if got.Indices[i] != want[i] {
@@ -403,8 +402,8 @@ func CheckEngines(r *Report, m measure.Measure, queries, refs [][]float64) {
 	})
 	call(r, name, "engine", "LeaveOneOut", func() {
 		r.Checks++
-		got := search.LeaveOneOut(m, refs)
-		w := eval.Matrix(m, refs, refs)
+		got := leaveOneOut(m, refs, nil)
+		w := dissimilarities(m, refs, refs, nil)
 		want := eval.LeaveOneOutNeighbors(w)
 		for i := range want {
 			if got.Indices[i] != want[i] {

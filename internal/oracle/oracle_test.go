@@ -7,11 +7,9 @@ import (
 
 	"repro/internal/elastic"
 	"repro/internal/embedding"
-	"repro/internal/eval"
 	"repro/internal/kernel"
 	"repro/internal/lockstep"
 	"repro/internal/measure"
-	"repro/internal/search"
 	"repro/internal/sliding"
 )
 
@@ -81,7 +79,7 @@ func TestOracleTieBreakingDuplicates(t *testing.T) {
 	// The construction puts real ties in play: query 1 is a copy of refs[0]
 	// and refs[3] is too, so both engines must report neighbor 0 at
 	// distance 0 under any metric-like measure.
-	e := eval.Matrix(lockstep.Euclidean(), queries, refs)
+	e := dissimilarities(lockstep.Euclidean(), queries, refs, nil)
 	if e[1][0] != 0 || e[1][3] != 0 {
 		t.Fatalf("engine set lost its duplicates: d(q1,r0)=%v d(q1,r3)=%v", e[1][0], e[1][3])
 	}
@@ -100,7 +98,7 @@ func TestOracleTieBreakingDuplicates(t *testing.T) {
 		if len(r.Discrepancies) > 0 {
 			t.Errorf("%s:\n%s", m.Name(), r)
 		}
-		got := search.OneNN(m, queries, refs)
+		got := oneNN(m, queries, refs, nil)
 		if got.Indices[1] != 0 {
 			t.Errorf("%s: duplicate query resolved to %d, want lowest index 0", m.Name(), got.Indices[1])
 		}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/dataset"
 	"repro/internal/elastic"
+	"repro/internal/measure"
 	"repro/internal/search"
 )
 
@@ -29,8 +30,8 @@ func approxData(t *testing.T, n, q int) (refs, queries [][]float64) {
 func TestOneNNApproxFallbackMatchesExact(t *testing.T) {
 	refs, queries := approxData(t, 40, 16)
 	m := elastic.DTW{DeltaPercent: 10}
-	approx := search.OneNNApprox(m, queries, refs, ann.Config{Candidates: len(refs), Seed: 1})
-	exact := search.OneNN(m, queries, refs)
+	approx := knnApprox(m, queries, refs, 1, ann.Config{Candidates: len(refs), Seed: 1}, nil)
+	exact := oneNN(m, queries, refs, nil)
 	if approx.Stats.Fallbacks != int64(len(queries)) {
 		t.Fatalf("fallbacks %d, want %d", approx.Stats.Fallbacks, len(queries))
 	}
@@ -48,8 +49,8 @@ func TestOneNNApproxFallbackMatchesExact(t *testing.T) {
 func TestOneNNApproxNeverBeatsExact(t *testing.T) {
 	refs, queries := approxData(t, 160, 24)
 	m := elastic.DTW{DeltaPercent: 10}
-	approx := search.OneNNApprox(m, queries, refs, ann.Config{Candidates: 12, Seed: 2})
-	exact := search.OneNN(m, queries, refs)
+	approx := knnApprox(m, queries, refs, 1, ann.Config{Candidates: 12, Seed: 2}, nil)
+	exact := oneNN(m, queries, refs, nil)
 	if approx.Stats.Fallbacks != 0 {
 		t.Fatalf("budget 12 over n=160 must not fall back (%d did)", approx.Stats.Fallbacks)
 	}
@@ -71,7 +72,7 @@ func TestOneNNApproxNeverBeatsExact(t *testing.T) {
 func TestKNNApproxShape(t *testing.T) {
 	refs, queries := approxData(t, 80, 8)
 	m := elastic.DTW{DeltaPercent: 10}
-	res := search.KNNApprox(m, queries, refs, 5, ann.Config{Candidates: 16, Seed: 3})
+	res := knnApprox(m, queries, refs, 5, ann.Config{Candidates: 16, Seed: 3}, nil)
 	if len(res.Neighbors) != len(queries) {
 		t.Fatalf("%d neighbor lists for %d queries", len(res.Neighbors), len(queries))
 	}
@@ -97,9 +98,9 @@ func TestOneNNApproxSnapshotWarmPath(t *testing.T) {
 	refs, queries := approxData(t, 96, 12)
 	m := elastic.DTW{DeltaPercent: 10}
 	cfg := ann.Config{Candidates: 12, Seed: 4}
-	snap := corpus.Build(refs, corpus.Options{ANN: []corpus.ANNSpec{{Measure: m, Config: cfg}}})
-	warm := search.OneNNApproxSnapshot(m, queries, refs, cfg, snap)
-	cold := search.OneNNApprox(m, queries, refs, cfg)
+	snap := buildSnapshot(refs, corpus.Options{ANN: []corpus.ANNSpec{{Measure: m, Config: cfg}}})
+	warm := knnApprox(m, queries, refs, 1, cfg, snap)
+	cold := knnApprox(m, queries, refs, 1, cfg, nil)
 	for i := range queries {
 		if warm.Indices[i] != cold.Indices[i] || warm.Distances[i] != cold.Distances[i] {
 			t.Fatalf("query %d: warm (%d, %g) != cold (%d, %g)",
@@ -116,11 +117,39 @@ func TestOneNNApproxSnapshotWarmPath(t *testing.T) {
 		}
 		other[i] = s
 	}
-	foreign := corpus.Build(other, corpus.Options{ANN: []corpus.ANNSpec{{Measure: m, Config: cfg}}})
-	res := search.OneNNApproxSnapshot(m, queries, refs, cfg, foreign)
+	foreign := buildSnapshot(other, corpus.Options{ANN: []corpus.ANNSpec{{Measure: m, Config: cfg}}})
+	res := knnApprox(m, queries, refs, 1, cfg, foreign)
 	for i := range queries {
 		if res.Indices[i] != cold.Indices[i] || res.Distances[i] != cold.Distances[i] {
 			t.Fatalf("query %d: foreign-snapshot result diverges from cold build", i)
+		}
+	}
+}
+
+// TestKNNApproxAdoptsSnapshotState checks that a covering snapshot holding
+// no ANN index for m still serves its exact-side state to the inline
+// build at every k: the bound-context hits rise, and the top-k lists are
+// bitwise those of the snapshot-free run.
+func TestKNNApproxAdoptsSnapshotState(t *testing.T) {
+	refs, queries := approxData(t, 80, 8)
+	m := elastic.DTW{DeltaPercent: 10}
+	cfg := ann.Config{Candidates: 16, Seed: 6}
+	snap := buildSnapshot(refs, corpus.Options{Measures: []measure.Measure{m}})
+	before := snap.Hits().Bounds
+	warm := knnApprox(m, queries, refs, 5, cfg, snap)
+	if snap.Hits().Bounds <= before {
+		t.Fatalf("covering snapshot served no bound contexts: %+v", snap.Hits())
+	}
+	cold := knnApprox(m, queries, refs, 5, cfg, nil)
+	for i := range queries {
+		w, c := warm.Neighbors[i], cold.Neighbors[i]
+		if len(w) != len(c) {
+			t.Fatalf("query %d: %d warm neighbors, %d cold", i, len(w), len(c))
+		}
+		for r := range c {
+			if w[r].Index != c[r].Index || math.Float64bits(w[r].Dist) != math.Float64bits(c[r].Dist) {
+				t.Fatalf("query %d rank %d: warm %+v, cold %+v", i, r, w[r], c[r])
+			}
 		}
 	}
 }
@@ -131,7 +160,7 @@ func TestOneNNApproxCancellation(t *testing.T) {
 	refs, queries := approxData(t, 64, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := search.OneNNApproxCtx(ctx, elastic.DTW{DeltaPercent: 10}, queries, refs, ann.Config{}); err == nil {
+	if _, err := search.KNNApproxCtx(ctx, elastic.DTW{DeltaPercent: 10}, queries, refs, 1, ann.Config{}, nil); err == nil {
 		t.Fatal("cancelled approximate search returned nil error")
 	}
 }
@@ -139,13 +168,13 @@ func TestOneNNApproxCancellation(t *testing.T) {
 // TestOneNNApproxEmpty covers degenerate inputs at the search layer.
 func TestOneNNApproxEmpty(t *testing.T) {
 	_, queries := approxData(t, 8, 4)
-	res := search.OneNNApprox(elastic.DTW{DeltaPercent: 10}, queries, nil, ann.Config{})
+	res := knnApprox(elastic.DTW{DeltaPercent: 10}, queries, nil, 1, ann.Config{}, nil)
 	for i := range queries {
 		if res.Indices[i] != -1 || !math.IsInf(res.Distances[i], 1) {
 			t.Fatalf("query %d over empty refs = (%d, %g)", i, res.Indices[i], res.Distances[i])
 		}
 	}
-	empty := search.OneNNApprox(elastic.DTW{DeltaPercent: 10}, nil, queries, ann.Config{})
+	empty := knnApprox(elastic.DTW{DeltaPercent: 10}, nil, queries, 1, ann.Config{}, nil)
 	if len(empty.Indices) != 0 {
 		t.Fatalf("no queries produced %d results", len(empty.Indices))
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/elastic"
 	"repro/internal/eval"
 	"repro/internal/measure"
-	"repro/internal/search"
 )
 
 func benchDataset() *dataset.Dataset {
@@ -90,7 +89,7 @@ func baselineGrid() eval.Grid {
 func tuneByMatrix(g eval.Grid, train [][]float64, labels []int) (int, float64) {
 	bestIdx, bestAcc := 0, -1.0
 	for j, cand := range g.Candidates {
-		w := eval.Matrix(cand, train, train)
+		w := matrix(cand, train, train)
 		acc := eval.AccuracyFromNeighbors(eval.LeaveOneOutNeighbors(w), labels, labels)
 		if acc > bestAcc {
 			bestAcc, bestIdx = acc, j
@@ -105,7 +104,7 @@ func tuneByMatrix(g eval.Grid, train [][]float64, labels []int) (int, float64) {
 //     allocations, full train-by-train matrices);
 //   - matrix: today's DTW kernel but still through exhaustive symmetric
 //     matrices;
-//   - pruned: eval.TuneSupervised on the search engine (symmetric pair
+//   - pruned: eval.TuneSupervisedCtx on the search engine (symmetric pair
 //     halving + LB_Kim/LB_Keogh cascade + early-abandoning DP).
 //
 // All three select the same candidate with the same accuracy (see
@@ -127,7 +126,7 @@ func BenchmarkSupervisedDTWTuning(b *testing.B) {
 	b.Run("pruned", func(b *testing.B) {
 		g := eval.DTWGrid()
 		for i := 0; i < b.N; i++ {
-			eval.TuneSupervised(g, d.Train, d.TrainLabels)
+			tune(g, d.Train, d.TrainLabels)
 		}
 	})
 }
@@ -138,7 +137,7 @@ func BenchmarkSupervisedDTWTuning(b *testing.B) {
 func tunePerCandidate(g eval.Grid, train [][]float64, labels []int) (int, float64) {
 	bestIdx, bestAcc := 0, -1.0
 	for i, cand := range g.Candidates {
-		res := search.LeaveOneOut(cand, train)
+		res := leaveOneOut(cand, train, nil)
 		acc := eval.AccuracyFromNeighbors(res.Indices, labels, labels)
 		if acc > bestAcc {
 			bestAcc, bestIdx = acc, i
@@ -168,7 +167,7 @@ func BenchmarkGridTuning(b *testing.B) {
 		g := eval.DTWGrid()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			eval.TuneSupervised(g, d.Train, d.TrainLabels)
+			tune(g, d.Train, d.TrainLabels)
 		}
 	})
 	b.Run("sink/percandidate", func(b *testing.B) {
@@ -182,7 +181,7 @@ func BenchmarkGridTuning(b *testing.B) {
 		g := eval.SINKGrid()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			eval.TuneSupervised(g, sinkTrain, sinkLabels)
+			tune(g, sinkTrain, sinkLabels)
 		}
 	})
 }
@@ -194,7 +193,7 @@ func TestTuningPathsAgree(t *testing.T) {
 	d := benchDataset()
 	baseIdx, baseAcc := tuneByMatrix(baselineGrid(), d.Train, d.TrainLabels)
 	matIdx, matAcc := tuneByMatrix(eval.DTWGrid(), d.Train, d.TrainLabels)
-	chosen, acc := eval.TuneSupervised(eval.DTWGrid(), d.Train, d.TrainLabels)
+	chosen, acc := tune(eval.DTWGrid(), d.Train, d.TrainLabels)
 	if baseIdx != matIdx || baseAcc != matAcc {
 		t.Fatalf("baseline picked %d (%g), matrix picked %d (%g)", baseIdx, baseAcc, matIdx, matAcc)
 	}
@@ -209,7 +208,7 @@ func TestTuningPathsAgree(t *testing.T) {
 // deques, and DP rows are all reused.
 func BenchmarkQuerierQuery(b *testing.B) {
 	d := benchDataset()
-	ix := search.NewIndex(elastic.DTW{DeltaPercent: 10}, d.Train)
+	ix := newIndex(elastic.DTW{DeltaPercent: 10}, d.Train)
 	q := ix.Querier()
 	// Warm the DP-scratch pool and the querier's bound context.
 	for _, x := range d.Test {
@@ -229,12 +228,12 @@ func BenchmarkOneNNInference(b *testing.B) {
 	m := elastic.DTW{DeltaPercent: 10}
 	b.Run("exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = eval.Neighbors(eval.Matrix(m, d.Test, d.Train))
+			_ = eval.Neighbors(matrix(m, d.Test, d.Train))
 		}
 	})
 	b.Run("pruned", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = search.OneNN(m, d.Test, d.Train)
+			_ = oneNN(m, d.Test, d.Train, nil)
 		}
 	})
 }

@@ -72,7 +72,7 @@ func TestLeaveOneOutGridCtxCancelsPromptly(t *testing.T) {
 		cancellingMeasure{calls: &calls, trigger: -1, cancel: func() {}},
 		cancellingMeasure{calls: &calls, trigger: -1, cancel: func() {}},
 	}
-	_, err := search.LeaveOneOutGridCtx(ctx, cands, train)
+	_, err := search.NewTuneIndex(cands, train, nil).EvaluateCtx(ctx)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -91,7 +91,11 @@ func TestLeaveOneOutCtxCancelsPromptly(t *testing.T) {
 	defer cancel()
 	var calls atomic.Int64
 	m := cancellingMeasure{calls: &calls, trigger: 5, cancel: cancel}
-	_, err := search.LeaveOneOutCtx(ctx, m, train)
+	ix, err := search.NewIndexCtx(ctx, m, train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ix.LeaveOneOutCtx(ctx)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -100,8 +104,9 @@ func TestLeaveOneOutCtxCancelsPromptly(t *testing.T) {
 	}
 }
 
-// TestGridCtxUncancelledMatchesPlain pins the wrapper contract: an
-// uncancelled Ctx run is bit-identical to the plain call.
+// TestGridCtxUncancelledMatchesPlain pins the uncancelled contract: a grid
+// sweep under a live context is bit-identical to plain per-candidate
+// leave-one-out searches.
 func TestGridCtxUncancelledMatchesPlain(t *testing.T) {
 	train := cancelTrain()
 	var calls atomic.Int64
@@ -116,13 +121,12 @@ func TestGridCtxUncancelledMatchesPlain(t *testing.T) {
 			return math.Sqrt(s)
 		}),
 	}
-	want := search.LeaveOneOutGrid(cands, train)
-	got, err := search.LeaveOneOutGridCtx(context.Background(), cands, train)
+	got, err := search.NewTuneIndex(cands, train, nil).EvaluateCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := range want.PerCandidate {
-		w, g := want.PerCandidate[k], got.PerCandidate[k]
+	for k, cand := range cands {
+		w, g := leaveOneOut(cand, train, nil), got.PerCandidate[k]
 		for i := range w.Indices {
 			if g.Indices[i] != w.Indices[i] || g.Distances[i] != w.Distances[i] {
 				t.Fatalf("candidate %d row %d: ctx path (%d, %v) differs from plain (%d, %v)",

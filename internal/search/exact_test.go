@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/eval"
-	"repro/internal/search"
 )
 
 // TestPrunedSearchExactAcrossElasticGrids is the exactness property test:
@@ -26,16 +25,16 @@ func TestPrunedSearchExactAcrossElasticGrids(t *testing.T) {
 		g = eval.Thin(g, stride)
 		for _, cand := range g.Candidates {
 			for _, d := range archive {
-				res := search.OneNN(cand, d.Test, d.Train)
-				want := eval.Neighbors(eval.Matrix(cand, d.Test, d.Train))
+				res := oneNN(cand, d.Test, d.Train, nil)
+				want := eval.Neighbors(matrix(cand, d.Test, d.Train))
 				for i := range want {
 					if res.Indices[i] != want[i] {
 						t.Fatalf("%s on %s: query %d neighbor %d, exact %d",
 							cand.Name(), d.Name, i, res.Indices[i], want[i])
 					}
 				}
-				loo := search.LeaveOneOut(cand, d.Train)
-				wantLoo := eval.LeaveOneOutNeighbors(eval.Matrix(cand, d.Train, d.Train))
+				loo := leaveOneOut(cand, d.Train, nil)
+				wantLoo := eval.LeaveOneOutNeighbors(matrix(cand, d.Train, d.Train))
 				for i := range wantLoo {
 					if loo.Indices[i] != wantLoo[i] {
 						t.Fatalf("%s on %s: LOO row %d neighbor %d, exact %d",

@@ -14,7 +14,7 @@ import (
 
 // This file implements the grid tuning engine: leave-one-out 1-NN
 // evaluation of an entire parameter grid in one pass, instead of one
-// independent LeaveOneOut per candidate. Three optimizations stack:
+// independent leave-one-out search per candidate. Three optimizations stack:
 //
 //  1. Shared preparation. Candidates declaring measure.GridStateful (or
 //     measure.PreparationSharing) form families whose per-series state is
@@ -56,8 +56,8 @@ import (
 // GridStats counts the work of a grid evaluation beyond the per-pair
 // counters of Stats.
 type GridStats struct {
-	Candidates int   // grid candidates evaluated
-	Waves      int   // warm-start dependency depth of the schedule
+	Candidates   int   // grid candidates evaluated
+	Waves        int   // warm-start dependency depth of the schedule
 	Rows         int64 // leave-one-out rows evaluated (candidates x series)
 	WarmRows     int64 // rows primed with a finite warm-start cutoff
 	Repaired     int64 // warm rows re-scanned cold (unachievable bound)
@@ -66,19 +66,6 @@ type GridStats struct {
 	PrepSnapshot int64 // per-series states served by a corpus snapshot
 	Search       Stats // pair counters over the whole sweep
 	WarmSearch   Stats // pair counters restricted to warm-primed candidates
-}
-
-func (g *GridStats) add(o GridStats) {
-	g.Candidates += o.Candidates
-	g.Waves += o.Waves
-	g.Rows += o.Rows
-	g.WarmRows += o.WarmRows
-	g.Repaired += o.Repaired
-	g.PrepTotal += o.PrepTotal
-	g.PrepShared += o.PrepShared
-	g.PrepSnapshot += o.PrepSnapshot
-	g.Search.add(o.Search)
-	g.WarmSearch.add(o.WarmSearch)
 }
 
 // SharedPrepRate is the fraction of per-series preparations served by a
@@ -101,7 +88,7 @@ func (g GridStats) WarmPruneRate() float64 {
 }
 
 // GridResult is the outcome of a grid evaluation: one Result per candidate
-// (in grid order, each bit-identical to LeaveOneOut on that candidate)
+// (in grid order, each bit-identical to LeaveOneOutCtx on that candidate)
 // plus the sweep-level work counters.
 type GridResult struct {
 	PerCandidate []Result
@@ -125,9 +112,9 @@ type TuneIndex struct {
 
 	// snap optionally serves per-series state (family cores, prepared
 	// states, bound contexts, finiteness) instead of computing it inline;
-	// set by NewTuneIndexSnapshot only when the snapshot covers train.
-	// Snapshot state is read-only: it is never rebound, refilled, or
-	// donated to the bound arena.
+	// set only when the snapshot covers train. Snapshot state is
+	// read-only: it is never rebound, refilled, or donated to the bound
+	// arena.
 	snap *corpus.Snapshot
 }
 
@@ -143,8 +130,10 @@ type gridFamily struct {
 // measure.NestedBounds (each candidate linked to the latest earlier
 // candidate that dominates it — the tightest bound in a
 // monotone-ordered grid), and preparation families via
-// measure.GridStateful / measure.PreparationSharing.
-func NewTuneIndex(cands []measure.Measure, train [][]float64) *TuneIndex {
+// measure.GridStateful / measure.PreparationSharing. A snapshot covering
+// train serves family cores, prepared states, bound contexts and
+// finiteness flags; a nil or non-covering one is ignored.
+func NewTuneIndex(cands []measure.Measure, train [][]float64, snap *corpus.Snapshot) *TuneIndex {
 	ti := &TuneIndex{
 		cands:    cands,
 		train:    train,
@@ -153,6 +142,9 @@ func NewTuneIndex(cands []measure.Measure, train [][]float64) *TuneIndex {
 		famOf:    make([]int, len(cands)),
 		bottom:   findBottom(cands, train),
 		covered:  make([]bool, len(cands)),
+	}
+	if snap.Covers(train) {
+		ti.snap = snap
 	}
 	var bottomNB measure.NestedBounds
 	if ti.bottom >= 0 {
@@ -280,30 +272,14 @@ func (ti *TuneIndex) joinFamily(k int, grid bool, shares func(rep measure.Measur
 	ti.famOf[k] = len(ti.families) - 1
 }
 
-// LeaveOneOutGrid evaluates every candidate's leave-one-out 1-NN result in
-// one pass. Each per-candidate Result — neighbor indices, distances, and
-// tie-breaks — is bit-identical to LeaveOneOut on that candidate alone.
-func LeaveOneOutGrid(cands []measure.Measure, train [][]float64) GridResult {
-	return NewTuneIndex(cands, train).Evaluate()
-}
-
-// LeaveOneOutGridCtx is LeaveOneOutGrid honoring cancellation: a cancelled
-// sweep stops within one dispatch chunk per worker and returns ctx.Err()
-// with the partially-filled GridResult (candidates from completed waves
-// hold exact results; the rest hold zero Results).
-func LeaveOneOutGridCtx(ctx context.Context, cands []measure.Measure, train [][]float64) (GridResult, error) {
-	return NewTuneIndex(cands, train).EvaluateCtx(ctx)
-}
-
-// Evaluate runs the full grid schedule: family preparations, then each
-// warm-start wave through one pooled dispatch.
-func (ti *TuneIndex) Evaluate() GridResult {
-	res, _ := ti.EvaluateCtx(context.Background())
-	return res
-}
-
-// EvaluateCtx is Evaluate honoring cancellation; see LeaveOneOutGridCtx
-// for the partial-result contract.
+// EvaluateCtx runs the full grid schedule — family preparations, then
+// each warm-start wave through one pooled dispatch — and returns every
+// candidate's leave-one-out 1-NN result. Each per-candidate Result —
+// neighbor indices, distances, and tie-breaks — is bit-identical to
+// Index.LeaveOneOutCtx on that candidate alone. A cancelled sweep stops
+// within one dispatch chunk per worker and returns ctx.Err() with the
+// partially-filled GridResult (candidates from completed waves hold exact
+// results; the rest hold zero Results).
 func (ti *TuneIndex) EvaluateCtx(ctx context.Context) (GridResult, error) {
 	res := GridResult{PerCandidate: make([]Result, len(ti.cands))}
 	st := &res.Stats
@@ -421,7 +397,7 @@ func allFinite(x []float64) bool {
 
 // evaluateBottom computes the bottom candidate's complete exact pair
 // matrix (each unordered pair once, in parallel) and derives its
-// leave-one-out result from it — bit-identical to LeaveOneOut, since every
+// leave-one-out result from it — bit-identical to LeaveOneOutCtx, since every
 // recorded value there is exact and ties resolve to the lowest index
 // either way. The matrix then serves as the per-pair lower bound of every
 // other candidate.
@@ -579,7 +555,7 @@ func (ti *TuneIndex) evaluateWave(ctx context.Context, wave []int, shared map[in
 				}
 			}
 		} else {
-			ce.ix = ti.newScanIndex(ce.m, shared)
+			ce.ix = ti.newScanIndex(ce.m)
 			if ce.ix.prefilled {
 				st.PrepSnapshot += int64(n)
 			}
@@ -678,7 +654,7 @@ func (ti *TuneIndex) evaluateWave(ctx context.Context, wave []int, shared map[in
 		r := &out[ce.k]
 		st.Rows += int64(n)
 		if ce.halved {
-			ti.mergeHalved(ce, locals, w, r, st)
+			st.Repaired += ce.merge(ti.train, locals, w, r)
 		} else {
 			for _, qs := range queriers {
 				if qs != nil && qs[w] != nil {
@@ -705,33 +681,21 @@ func (ti *TuneIndex) evaluateWave(ctx context.Context, wave []int, shared map[in
 }
 
 // newScanIndex builds the Index of a scan-path candidate without its
-// internal parallel preparation (the wave's setup pool runs it), wiring
-// family-shared preparations when available and adopting snapshot state —
-// which arrives already filled — when the tune index carries one.
-func (ti *TuneIndex) newScanIndex(m measure.Measure, shared map[int][]any) *Index {
-	ix := &Index{m: m, refs: ti.train}
-	if ea, ok := m.(measure.EarlyAbandoning); ok {
-		ix.ea = ea
-	}
-	if lb, ok := m.(measure.LowerBounded); ok {
-		ix.lb = lb
-		if ti.snap != nil {
-			if sctxs := ti.snap.BoundContexts(m); sctxs != nil {
-				ix.rctx = sctxs
-				ix.prefilled = true
-				return ix
-			}
-		}
+// parallel preparation (the wave's setup pool runs it, from family-shared
+// preparations when available), adopting snapshot state — which arrives
+// already filled — when the tune index carries one.
+func (ti *TuneIndex) newScanIndex(m measure.Measure) *Index {
+	ix := newIndex(m, ti.train)
+	// Without specialization the lookup cannot fail: states a family core
+	// would yield are left to the setup pool.
+	have, _ := ti.snap.RefState(context.Background(), m, ti.train, false)
+	ix.rctx, ix.rprep = have.Bounds, have.Prep
+	ix.prefilled = ix.rctx != nil || ix.rprep != nil
+	switch {
+	case ix.prefilled:
+	case ix.lb != nil:
 		ix.rctx = make([]measure.BoundContext, len(ti.train))
-	} else if sm, ok := m.(measure.Stateful); ok {
-		ix.sm = sm
-		if ti.snap != nil {
-			if prep := ti.snap.Prepared(m); prep != nil {
-				ix.rprep = prep
-				ix.prefilled = true
-				return ix
-			}
-		}
+	case ix.sm != nil:
 		ix.rprep = make([]any, len(ti.train))
 	}
 	return ix
@@ -801,7 +765,8 @@ func newLooLocal(n int, warm []float64) *looLocal {
 }
 
 // scanHalvedRows runs rows [lo, hi) of the halved pair scan for one
-// candidate into the worker's locals. The logic extends looHalved with
+// candidate into the worker's locals; Index.looHalvedCtx runs it without
+// warm starts or a pair matrix. The logic extends the plain scan with
 // primed cutoffs: a row may carry a finite cutoff before any incumbent
 // exists, in which case recording still requires d < cutoff — which
 // certifies d is exact (DistanceUpTo only abandons at or above its
@@ -855,12 +820,14 @@ func (ce *candEval) scanHalvedRows(train [][]float64, l *looLocal, lo, hi int) {
 	}
 }
 
-// mergeHalved merges the workers' locals for one halved candidate into its
-// Result, repairing any row no worker resolved — which happens only when a
-// primed cutoff proved unachievable (a violated domination declaration,
-// possible on non-finite inputs) — with an exact cold scan.
-func (ti *TuneIndex) mergeHalved(ce *candEval, locals [][]*looLocal, w int, r *Result, st *GridStats) {
-	n := len(ti.train)
+// merge merges the workers' locals (slot w of each) for one halved
+// candidate into its Result, taking each row's lexicographic (distance,
+// index) minimum across workers, and repairs any row no worker resolved —
+// which happens only when a primed cutoff proved unachievable (a violated
+// domination declaration, possible on non-finite inputs) — with an exact
+// cold scan. It returns the number of repaired rows.
+func (ce *candEval) merge(train [][]float64, locals [][]*looLocal, w int, r *Result) (repaired int64) {
+	n := len(train)
 	r.Indices = make([]int, n)
 	r.Distances = make([]float64, n)
 	for i := 0; i < n; i++ {
@@ -875,8 +842,8 @@ func (ti *TuneIndex) mergeHalved(ce *candEval, locals [][]*looLocal, w int, r *R
 			}
 		}
 		if bi == -1 && ce.warm != nil && n > 1 {
-			bi, bd = ce.coldRow(ti.train, i)
-			st.Repaired++
+			bi, bd = ce.coldRow(train, i)
+			repaired++
 		}
 		r.Indices[i], r.Distances[i] = bi, bd
 	}
@@ -885,6 +852,7 @@ func (ti *TuneIndex) mergeHalved(ce *candEval, locals [][]*looLocal, w int, r *R
 			r.Stats.add(ls[w].stats)
 		}
 	}
+	return repaired
 }
 
 // coldRow recomputes one leave-one-out row exhaustively: exact distances,

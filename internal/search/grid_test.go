@@ -8,14 +8,13 @@ import (
 	"repro/internal/elastic"
 	"repro/internal/eval"
 	"repro/internal/measure"
-	"repro/internal/search"
 )
 
 // TestLeaveOneOutGridMatchesPerCandidate is the tuning-engine exactness
 // property test: for every grid of Table 4 (eval.Grids), across randomized
 // archives, the one-pass engine must report bit-identical neighbor indices
 // and distances — hence identical selected candidates, accuracies, and
-// tie-breaks — to the naive loop running search.LeaveOneOut per candidate.
+// tie-breaks — to the naive loop running Index.LeaveOneOutCtx per candidate.
 // Any sharing bug (a candidate state that drifts from Prepare, a warm-start
 // cutoff that prunes a true minimum, a wave scheduling order that breaks
 // tie-breaking) fails here.
@@ -30,13 +29,13 @@ func TestLeaveOneOutGridMatchesPerCandidate(t *testing.T) {
 	for _, g := range eval.Grids() {
 		g = eval.Thin(g, stride)
 		for _, d := range archive {
-			gr := search.LeaveOneOutGrid(g.Candidates, d.Train)
+			gr := grid(g.Candidates, d.Train, nil)
 			if len(gr.PerCandidate) != len(g.Candidates) {
 				t.Fatalf("%s on %s: %d results for %d candidates",
 					g.Name, d.Name, len(gr.PerCandidate), len(g.Candidates))
 			}
 			for k, cand := range g.Candidates {
-				want := search.LeaveOneOut(cand, d.Train)
+				want := leaveOneOut(cand, d.Train, nil)
 				got := gr.PerCandidate[k]
 				for i := range want.Indices {
 					if got.Indices[i] != want.Indices[i] || got.Distances[i] != want.Distances[i] {
@@ -52,7 +51,7 @@ func TestLeaveOneOutGridMatchesPerCandidate(t *testing.T) {
 }
 
 // TestTuneSupervisedMatchesNaiveSelection checks the full selection path:
-// TuneSupervised on the engine must pick the same candidate with the same
+// TuneSupervisedCtx on the engine must pick the same candidate with the same
 // accuracy as the naive per-candidate loop, for every grid family.
 func TestTuneSupervisedMatchesNaiveSelection(t *testing.T) {
 	archive := dataset.GenerateArchive(dataset.ArchiveOptions{
@@ -65,10 +64,10 @@ func TestTuneSupervisedMatchesNaiveSelection(t *testing.T) {
 	for _, g := range eval.Grids() {
 		g = eval.Thin(g, stride)
 		for _, d := range archive {
-			gotM, gotAcc := eval.TuneSupervised(g, d.Train, d.TrainLabels)
+			gotM, gotAcc := tune(g, d.Train, d.TrainLabels)
 			wantIdx, wantAcc := 0, -1.0
 			for i, cand := range g.Candidates {
-				res := search.LeaveOneOut(cand, d.Train)
+				res := leaveOneOut(cand, d.Train, nil)
 				acc := eval.AccuracyFromNeighbors(res.Indices, d.TrainLabels, d.TrainLabels)
 				if acc > wantAcc {
 					wantAcc, wantIdx = acc, i
@@ -98,9 +97,9 @@ func TestGridEngineDegenerateInputs(t *testing.T) {
 		{0, 0, 0, 0, 0, 0, 0, 0},
 	}
 	g := eval.DTWGrid()
-	gr := search.LeaveOneOutGrid(g.Candidates, train)
+	gr := grid(g.Candidates, train, nil)
 	for k, cand := range g.Candidates {
-		want := search.LeaveOneOut(cand, train)
+		want := leaveOneOut(cand, train, nil)
 		got := gr.PerCandidate[k]
 		for i := range want.Indices {
 			if got.Indices[i] != want.Indices[i] || got.Distances[i] != want.Distances[i] {
@@ -120,13 +119,13 @@ func TestGridStatsCounters(t *testing.T) {
 	})
 	train := archive[0].Train
 
-	sink := search.LeaveOneOutGrid(eval.SINKGrid().Candidates, train).Stats
+	sink := grid(eval.SINKGrid().Candidates, train, nil).Stats
 	if sink.PrepShared == 0 || sink.SharedPrepRate() < 0.9 {
 		t.Errorf("SINK sweep shared %d/%d preparations, want ~all",
 			sink.PrepShared, sink.PrepTotal)
 	}
 
-	dtw := search.LeaveOneOutGrid(eval.DTWGrid().Candidates, train).Stats
+	dtw := grid(eval.DTWGrid().Candidates, train, nil).Stats
 	if dtw.Waves < 2 {
 		t.Errorf("DTW band grid ran in %d waves, want warm-start chain", dtw.Waves)
 	}
@@ -186,12 +185,12 @@ func TestPreparationSharingFallback(t *testing.T) {
 		sharedPrepFake{Scale: 2},
 		sharedPrepFake{Scale: 0.5},
 	}
-	gr := search.LeaveOneOutGrid(cands, train)
+	gr := grid(cands, train, nil)
 	if gr.Stats.PrepShared != int64(2*len(train)) {
 		t.Errorf("shared %d preparations, want %d", gr.Stats.PrepShared, 2*len(train))
 	}
 	for k, cand := range cands {
-		want := search.LeaveOneOut(cand, train)
+		want := leaveOneOut(cand, train, nil)
 		got := gr.PerCandidate[k]
 		for i := range want.Indices {
 			if got.Indices[i] != want.Indices[i] || got.Distances[i] != want.Distances[i] {

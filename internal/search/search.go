@@ -13,18 +13,25 @@
 // evaluation. Lower bounds only skip candidates that provably cannot beat
 // the incumbent, and abandoned computations only certify d >= cutoff.
 //
-// Every entry point has a context-aware variant (OneNNCtx, LeaveOneOutCtx,
-// LeaveOneOutGridCtx) that observes cancellation at the dispatch chunk
-// granularity of internal/par and returns ctx.Err() together with whatever
-// partial per-query results were completed; the plain variants are thin
-// wrappers over a background context and remain bitwise-identical to their
-// pre-context behavior.
+// Each operation has one context-first entry point taking an optional
+// *corpus.Snapshot. An Index — built only by NewIndexSnapshotCtx — is the
+// plan of exact search: it resolves the measure's capabilities once and
+// holds the per-reference state, adopted from a covering snapshot or built
+// inline, and its OneNNCtx and LeaveOneOutCtx methods run the searches. A
+// TuneIndex (NewTuneIndex(...).EvaluateCtx) sweeps a whole parameter grid,
+// and KNNApproxCtx runs approximate search. Every entry point observes
+// cancellation at the dispatch chunk granularity of internal/par and
+// returns ctx.Err() together with whatever partial per-query results were
+// completed. A snapshot changes where per-series state comes from, never
+// what is computed from it: results are bitwise identical with a nil,
+// covering or non-covering snapshot.
 package search
 
 import (
 	"context"
 	"math"
 
+	"repro/internal/corpus"
 	"repro/internal/measure"
 	"repro/internal/par"
 )
@@ -46,7 +53,7 @@ func (s *Stats) add(o Stats) {
 	s.FullDist += o.FullDist
 }
 
-// Result is the outcome of OneNN or LeaveOneOut: per-query nearest
+// Result is the outcome of a 1-NN or leave-one-out search: per-query nearest
 // reference indices (-1 when there are no candidates) and their sanitized
 // distances, plus aggregate work counters. When the context-aware variants
 // return an error, rows whose chunk never ran hold the zero values (index
@@ -57,10 +64,11 @@ type Result struct {
 	Stats     Stats
 }
 
-// Index holds a reference set prepared for repeated pruned 1-NN queries:
-// lower-bound contexts (envelopes) or stateful preparations are computed
-// once per reference. An Index is immutable after construction and safe
-// for concurrent use through per-goroutine Queriers.
+// Index is the plan of exact search over one reference set and one
+// measure: the measure's capabilities are resolved once, and lower-bound
+// contexts (envelopes) or stateful preparations are held per reference.
+// An Index is immutable after construction and safe for concurrent use
+// through per-goroutine Queriers.
 type Index struct {
 	m     measure.Measure
 	refs  [][]float64
@@ -70,10 +78,10 @@ type Index struct {
 	pe    measure.PanelEvaluator
 	rctx  []measure.BoundContext
 	rprep []any
-	// prefilled marks rctx/rprep as adopted from a corpus.Snapshot: already
-	// filled, owned by the snapshot, and strictly read-only — the grid
-	// engine's setup pool must skip them and its envelope arena must never
-	// rebind them.
+	// prefilled marks a grid scan index's rctx/rprep as adopted from a
+	// corpus.Snapshot: already filled, owned by the snapshot, and strictly
+	// read-only — the grid engine's setup pool must skip them and its
+	// envelope arena must never rebind them.
 	prefilled bool
 }
 
@@ -83,44 +91,43 @@ type Index struct {
 // refreshes frequently.
 const panelChunk = 32
 
-// NewIndex prepares refs for searching under m. Per-reference state is
-// computed in parallel. When the measure is LowerBounded the cascade path
-// is used; otherwise a Stateful measure's prepared fast path; otherwise
-// plain Distance calls (with early abandoning when available).
-func NewIndex(m measure.Measure, refs [][]float64) *Index {
-	ix, _ := NewIndexCtx(context.Background(), m, refs)
+// newIndex resolves m's capabilities over refs, without per-reference
+// state. A LowerBounded measure takes the bound cascade, otherwise a
+// PanelEvaluator the batched panel scan, otherwise a Stateful measure the
+// prepared path, otherwise plain (early-abandoning when available)
+// Distance calls.
+func newIndex(m measure.Measure, refs [][]float64) *Index {
+	ix := &Index{m: m, refs: refs}
+	ix.ea, _ = m.(measure.EarlyAbandoning)
+	ix.lb, _ = m.(measure.LowerBounded)
+	if ix.lb == nil {
+		ix.pe, _ = m.(measure.PanelEvaluator)
+		ix.sm, _ = m.(measure.Stateful)
+	}
 	return ix
 }
 
-// NewIndexCtx is NewIndex honoring cancellation during the parallel
-// per-reference preparation; on a non-nil error the index is unusable.
+// NewIndexCtx is NewIndexSnapshotCtx without a snapshot.
 func NewIndexCtx(ctx context.Context, m measure.Measure, refs [][]float64) (*Index, error) {
-	ix := &Index{m: m, refs: refs}
-	if ea, ok := m.(measure.EarlyAbandoning); ok {
-		ix.ea = ea
+	return NewIndexSnapshotCtx(ctx, m, refs, nil)
+}
+
+// NewIndexSnapshotCtx builds the search plan of refs under m. Per-reference
+// state comes from the snapshot when it covers refs and holds state for m
+// (including states specialized from a GridStateful family core);
+// otherwise it is computed in parallel. On a non-nil error (cancellation)
+// the index is unusable.
+func NewIndexSnapshotCtx(ctx context.Context, m measure.Measure, refs [][]float64, snap *corpus.Snapshot) (*Index, error) {
+	ix := newIndex(m, refs)
+	have, err := snap.RefState(ctx, m, refs, true)
+	if err != nil {
+		return nil, err
 	}
-	if pe, ok := m.(measure.PanelEvaluator); ok {
-		ix.pe = pe
+	st, err := measure.BuildRefState(ctx, m, refs, have)
+	if err != nil {
+		return nil, err
 	}
-	if lb, ok := m.(measure.LowerBounded); ok {
-		ix.lb = lb
-		ix.rctx = make([]measure.BoundContext, len(refs))
-		if err := par.ForCtx(ctx, len(refs), par.Workers(len(refs)), func(i int) {
-			c := lb.NewBoundContext(len(refs[i]))
-			c.Fill(refs[i])
-			ix.rctx[i] = c
-		}); err != nil {
-			return nil, err
-		}
-	} else if sm, ok := m.(measure.Stateful); ok {
-		ix.sm = sm
-		ix.rprep = make([]any, len(refs))
-		if err := par.ForCtx(ctx, len(refs), par.Workers(len(refs)), func(i int) {
-			ix.rprep[i] = sm.Prepare(refs[i])
-		}); err != nil {
-			return nil, err
-		}
-	}
+	ix.rctx, ix.rprep = st.Bounds, st.Prep
 	return ix, nil
 }
 
@@ -141,7 +148,7 @@ func (ix *Index) Querier() *Querier {
 	if ix.lb != nil && len(ix.refs) > 0 {
 		q.qctx = ix.lb.NewBoundContext(len(ix.refs[0]))
 	}
-	if ix.lb == nil && ix.pe != nil {
+	if ix.pe != nil {
 		q.pout = make([]float64, panelChunk)
 	}
 	return q
@@ -163,30 +170,6 @@ func (q *Querier) search(x []float64, skip int) (int, float64) {
 		return best, bestDist
 	}
 	switch {
-	case ix.lb != nil:
-		q.qctx.Fill(x)
-		for j, r := range ix.refs {
-			if j == skip {
-				continue
-			}
-			q.Stats.Pairs++
-			if best >= 0 {
-				if lbv := ix.lb.LowerBound(x, r, q.qctx, ix.rctx[j], bestDist); lbv >= bestDist {
-					q.Stats.LBPruned++
-					continue
-				}
-			}
-			q.Stats.FullDist++
-			var d float64
-			if ix.ea != nil {
-				d = measure.Sanitize(ix.ea.DistanceUpTo(x, r, bestDist))
-			} else {
-				d = measure.Sanitize(ix.m.Distance(x, r))
-			}
-			if best == -1 || d < bestDist {
-				best, bestDist = j, d
-			}
-		}
 	case ix.pe != nil:
 		// Batched panel scan: candidates are evaluated panelChunk at a time
 		// with the best-so-far at chunk entry as the shared cutoff. Results
@@ -255,11 +238,22 @@ func (q *Querier) search(x []float64, skip int) (int, float64) {
 			}
 		}
 	default:
+		// The cascade: lower bound (LowerBounded measures, once an
+		// incumbent exists), then early-abandoning or plain Distance.
+		if ix.lb != nil {
+			q.qctx.Fill(x)
+		}
 		for j, r := range ix.refs {
 			if j == skip {
 				continue
 			}
 			q.Stats.Pairs++
+			if ix.lb != nil && best >= 0 {
+				if lbv := ix.lb.LowerBound(x, r, q.qctx, ix.rctx[j], bestDist); lbv >= bestDist {
+					q.Stats.LBPruned++
+					continue
+				}
+			}
 			q.Stats.FullDist++
 			var d float64
 			if ix.ea != nil {
@@ -275,22 +269,23 @@ func (q *Querier) search(x []float64, skip int) (int, float64) {
 	return best, bestDist
 }
 
-// OneNN finds, in parallel, the nearest reference of every query — the
-// matrix-free replacement for eval.Matrix + argmin. Neighbors are
-// identical to exhaustive evaluation, including tie-breaking.
-func OneNN(m measure.Measure, queries, refs [][]float64) Result {
-	res, _ := OneNNCtx(context.Background(), m, queries, refs)
-	return res
-}
-
-// OneNNCtx is OneNN honoring cancellation: a cancelled search stops within
-// one dispatch chunk per worker and returns ctx.Err() alongside the
-// partial Result.
+// OneNNCtx finds, in parallel, the nearest reference of every query — the
+// matrix-free replacement for eval.MatrixCtx + argmin — building the index
+// inline. Neighbors are identical to exhaustive evaluation, including
+// tie-breaking. A cancelled search stops within one dispatch chunk per
+// worker and returns ctx.Err() alongside the partial Result.
 func OneNNCtx(ctx context.Context, m measure.Measure, queries, refs [][]float64) (Result, error) {
 	ix, err := NewIndexCtx(ctx, m, refs)
 	if err != nil {
 		return Result{}, err
 	}
+	return ix.OneNNCtx(ctx, queries)
+}
+
+// OneNNCtx finds, in parallel, the nearest indexed reference of every
+// query; see the package-level OneNNCtx for the exactness and partial-result
+// contracts.
+func (ix *Index) OneNNCtx(ctx context.Context, queries [][]float64) (Result, error) {
 	return searchAllCtx(ctx, ix, queries, false)
 }
 
@@ -322,26 +317,16 @@ func searchAllCtx(ctx context.Context, ix *Index, queries [][]float64, skipDiag 
 	return res, err
 }
 
-// LeaveOneOut finds each training series' nearest other training series —
+// LeaveOneOutCtx finds each indexed series' nearest other indexed series —
 // the matrix-free criterion of supervised parameter tuning. Exactly
 // symmetric measures take the halved path evaluating each unordered pair
-// once; results are identical to exhaustive evaluation either way.
-func LeaveOneOut(m measure.Measure, train [][]float64) Result {
-	res, _ := LeaveOneOutCtx(context.Background(), m, train)
-	return res
-}
-
-// LeaveOneOutCtx is LeaveOneOut honoring cancellation; see OneNNCtx for
-// the partial-result contract.
-func LeaveOneOutCtx(ctx context.Context, m measure.Measure, train [][]float64) (Result, error) {
-	if halvedEligible(m) {
-		return looHalvedCtx(ctx, m, train)
+// once; results are identical to exhaustive evaluation either way. See the
+// package-level OneNNCtx for the partial-result contract.
+func (ix *Index) LeaveOneOutCtx(ctx context.Context) (Result, error) {
+	if halvedEligible(ix.m) {
+		return ix.looHalvedCtx(ctx)
 	}
-	ix, err := NewIndexCtx(ctx, m, train)
-	if err != nil {
-		return Result{}, err
-	}
-	return searchAllCtx(ctx, ix, train, true)
+	return searchAllCtx(ctx, ix, ix.refs, true)
 }
 
 // halvedEligible reports whether leave-one-out evaluation of m takes the
@@ -354,105 +339,28 @@ func halvedEligible(m measure.Measure) bool {
 	return measure.IsSymmetric(m) && (bounded || !stateful)
 }
 
-// looHalvedCtx evaluates each unordered training pair once. Every worker
-// keeps private best arrays; pair (i, j) is examined with the cutoff
+// looHalvedCtx evaluates each unordered pair of indexed series once, the
+// index's bound contexts serving both sides of the cascade (they are only
+// ever read, so sharing them across workers and calls is safe). Every
+// worker keeps private best arrays; pair (i, j) is examined with the cutoff
 // max(best_i, best_j), so a pruned or abandoned computation certifies that
 // neither row can improve. Within a worker, contributions to any row
 // arrive in increasing candidate order (rows are dispatched in increasing
 // order and row i's own scan ascends), and the final cross-worker merge
 // takes the lexicographic (distance, index) minimum — together this
 // reproduces exhaustive first-lowest-index tie-breaking exactly.
-func looHalvedCtx(ctx context.Context, m measure.Measure, train [][]float64) (Result, error) {
-	return looHalvedPrepared(ctx, m, train, nil)
-}
-
-// looHalvedPrepared is looHalvedCtx over prebuilt reference bound contexts
-// (e.g. a corpus snapshot's); nil ctxs fall back to the inline fill. The
-// contexts are only ever read by the scan — never Fill'd or rebound — so
-// sharing them across workers and across calls is safe.
-func looHalvedPrepared(ctx context.Context, m measure.Measure, train [][]float64, ctxs []measure.BoundContext) (Result, error) {
-	n := len(train)
-	lb, _ := m.(measure.LowerBounded)
-	ea, _ := m.(measure.EarlyAbandoning)
-	if lb != nil && ctxs == nil {
-		ctxs = make([]measure.BoundContext, n)
-		if err := par.ForCtx(ctx, n, par.Workers(n), func(i int) {
-			c := lb.NewBoundContext(len(train[i]))
-			c.Fill(train[i])
-			ctxs[i] = c
-		}); err != nil {
-			return Result{}, err
-		}
-	}
+func (ix *Index) looHalvedCtx(ctx context.Context) (Result, error) {
+	n := len(ix.refs)
+	ce := &candEval{m: ix.m, lb: ix.lb, ea: ix.ea, ctxs: ix.rctx}
 	workers := par.Workers(n)
-	type local struct {
-		dist  []float64
-		idx   []int
-		stats Stats
-	}
-	locals := make([]*local, workers)
+	locals := make([][]*looLocal, workers)
 	err := par.ForShardCtx(ctx, n, workers, func(w, i int) {
-		l := locals[w]
-		if l == nil {
-			l = &local{dist: make([]float64, n), idx: make([]int, n)}
-			for k := range l.dist {
-				l.dist[k] = math.Inf(1)
-				l.idx[k] = -1
-			}
-			locals[w] = l
+		if locals[w] == nil {
+			locals[w] = []*looLocal{newLooLocal(n, nil)}
 		}
-		xi := train[i]
-		for j := i + 1; j < n; j++ {
-			cutoff := l.dist[i]
-			if l.dist[j] > cutoff {
-				cutoff = l.dist[j]
-			}
-			l.stats.Pairs++
-			// With an infinite cutoff nothing can be pruned or abandoned
-			// (and rows without an incumbent must record their first
-			// candidate exactly), so skip the bound.
-			finite := !math.IsInf(cutoff, 1)
-			if lb != nil && finite {
-				if lbv := lb.LowerBound(xi, train[j], ctxs[i], ctxs[j], cutoff); lbv >= cutoff {
-					l.stats.LBPruned++
-					continue
-				}
-			}
-			l.stats.FullDist++
-			var d float64
-			if ea != nil {
-				d = measure.Sanitize(ea.DistanceUpTo(xi, train[j], cutoff))
-			} else {
-				d = measure.Sanitize(m.Distance(xi, train[j]))
-			}
-			// d is exact whenever it is recorded: an abandoned value is
-			// >= cutoff >= both incumbents, failing both strict updates,
-			// and a missing incumbent forces an infinite cutoff (exact).
-			if l.idx[i] == -1 || d < l.dist[i] {
-				l.dist[i], l.idx[i] = d, j
-			}
-			if l.idx[j] == -1 || d < l.dist[j] {
-				l.dist[j], l.idx[j] = d, i
-			}
-		}
+		ce.scanHalvedRows(ix.refs, locals[w][0], i, i+1)
 	})
-	res := Result{Indices: make([]int, n), Distances: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		bd, bi := math.Inf(1), -1
-		for _, l := range locals {
-			if l == nil || l.idx[i] == -1 {
-				continue
-			}
-			if bi == -1 || l.dist[i] < bd || (l.dist[i] == bd && l.idx[i] < bi) {
-				bd, bi = l.dist[i], l.idx[i]
-			}
-		}
-		res.Indices[i], res.Distances[i] = bi, bd
-	}
-	for _, l := range locals {
-		if l != nil {
-			res.Stats.add(l.stats)
-		}
-	}
+	var res Result
+	ce.merge(ix.refs, locals, 0, &res)
 	return res, err
 }

@@ -1,16 +1,65 @@
 package search_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/ann"
+	"repro/internal/corpus"
 	"repro/internal/elastic"
+	"repro/internal/eval"
 	"repro/internal/lockstep"
 	"repro/internal/measure"
 	"repro/internal/search"
 	"repro/internal/sliding"
 )
+
+// The helpers below run the engines under a background context, which
+// never cancels, so their errors are always nil.
+
+func newIndex(m measure.Measure, refs [][]float64) *search.Index {
+	ix, _ := search.NewIndexCtx(context.Background(), m, refs)
+	return ix
+}
+
+func oneNN(m measure.Measure, queries, refs [][]float64, snap *corpus.Snapshot) search.Result {
+	ix, _ := search.NewIndexSnapshotCtx(context.Background(), m, refs, snap)
+	res, _ := ix.OneNNCtx(context.Background(), queries)
+	return res
+}
+
+func leaveOneOut(m measure.Measure, train [][]float64, snap *corpus.Snapshot) search.Result {
+	ix, _ := search.NewIndexSnapshotCtx(context.Background(), m, train, snap)
+	res, _ := ix.LeaveOneOutCtx(context.Background())
+	return res
+}
+
+func grid(cands []measure.Measure, train [][]float64, snap *corpus.Snapshot) search.GridResult {
+	res, _ := search.NewTuneIndex(cands, train, snap).EvaluateCtx(context.Background())
+	return res
+}
+
+func knnApprox(m measure.Measure, queries, refs [][]float64, k int, cfg ann.Config, snap *corpus.Snapshot) search.ApproxResult {
+	res, _ := search.KNNApproxCtx(context.Background(), m, queries, refs, k, cfg, snap)
+	return res
+}
+
+func matrix(m measure.Measure, queries, refs [][]float64) [][]float64 {
+	e, _ := eval.MatrixCtx(context.Background(), m, queries, refs, nil)
+	return e
+}
+
+func tune(g eval.Grid, train [][]float64, labels []int) (measure.Measure, float64) {
+	m, acc, _, _ := eval.TuneSupervisedCtx(context.Background(), g, train, labels, nil)
+	return m, acc
+}
+
+func buildSnapshot(series [][]float64, opts corpus.Options) *corpus.Snapshot {
+	snap, _ := corpus.BuildCtx(context.Background(), series, opts)
+	return snap
+}
 
 func randomSet(seed int64, n, m int) [][]float64 {
 	rng := rand.New(rand.NewSource(seed))
@@ -48,7 +97,7 @@ func TestOneNNMatchesBruteForce(t *testing.T) {
 		elastic.MSM{C: 0.5},           // plain symmetric
 		lockstep.Euclidean(),          // plain
 	} {
-		res := search.OneNN(m, queries, refs)
+		res := oneNN(m, queries, refs, nil)
 		for i, x := range queries {
 			wantIdx, wantDist := brute(m, x, refs, -1)
 			if res.Indices[i] != wantIdx || res.Distances[i] != wantDist {
@@ -69,7 +118,7 @@ func TestOneNNTieBreaksToLowestIndex(t *testing.T) {
 	queries := randomSet(4, 5, 32)
 	queries = append(queries, append([]float64(nil), base...))
 	for _, m := range []measure.Measure{elastic.DTW{DeltaPercent: 100}, elastic.ERP{G: 0}} {
-		res := search.OneNN(m, queries, refs)
+		res := oneNN(m, queries, refs, nil)
 		for i := range queries {
 			if res.Indices[i] != 0 {
 				t.Fatalf("%s query %d: tie must resolve to index 0, got %d", m.Name(), i, res.Indices[i])
@@ -84,8 +133,8 @@ func TestLeaveOneOutHalvedMatchesNonSymmetricPath(t *testing.T) {
 	// Func wrapper hides the Symmetric/LowerBounded/EarlyAbandoning
 	// interfaces, forcing the per-row path over plain Distance calls.
 	plain := measure.New("dtw-opaque", sym.Distance)
-	got := search.LeaveOneOut(sym, train)
-	want := search.LeaveOneOut(plain, train)
+	got := leaveOneOut(sym, train, nil)
+	want := leaveOneOut(plain, train, nil)
 	for i := range train {
 		if got.Indices[i] != want.Indices[i] || got.Distances[i] != want.Distances[i] {
 			t.Fatalf("row %d: halved (%d, %g) vs per-row (%d, %g)",
@@ -110,7 +159,7 @@ func TestLeaveOneOutHalvedTieBreaking(t *testing.T) {
 		train[i] = append([]float64(nil), base...)
 	}
 	for _, m := range []measure.Measure{elastic.DTW{DeltaPercent: 5}, elastic.TWE{Lambda: 1, Nu: 0.1}} {
-		res := search.LeaveOneOut(m, train)
+		res := leaveOneOut(m, train, nil)
 		for i := range train {
 			want := 0
 			if i == 0 {
@@ -133,7 +182,7 @@ func TestStatefulMeasureUsesPreparedPath(t *testing.T) {
 	if _, ok := measure.Measure(m).(measure.Stateful); !ok {
 		t.Skip("SBD is not Stateful in this build")
 	}
-	res := search.OneNN(m, queries, refs)
+	res := oneNN(m, queries, refs, nil)
 	for i, x := range queries {
 		wantIdx, wantDist := brute(m, x, refs, -1)
 		if res.Indices[i] != wantIdx {
@@ -145,7 +194,7 @@ func TestStatefulMeasureUsesPreparedPath(t *testing.T) {
 	}
 	// SBD is not declared Symmetric, so leave-one-out takes the per-row
 	// path; verify against brute force with the diagonal skipped.
-	loo := search.LeaveOneOut(m, refs)
+	loo := leaveOneOut(m, refs, nil)
 	for i, x := range refs {
 		wantIdx, _ := brute(m, x, refs, i)
 		if loo.Indices[i] != wantIdx {
@@ -156,19 +205,19 @@ func TestStatefulMeasureUsesPreparedPath(t *testing.T) {
 
 func TestEmptyInputs(t *testing.T) {
 	d := elastic.DTW{DeltaPercent: 10}
-	if res := search.OneNN(d, nil, randomSet(9, 3, 16)); len(res.Indices) != 0 {
+	if res := oneNN(d, nil, randomSet(9, 3, 16), nil); len(res.Indices) != 0 {
 		t.Fatal("no queries must yield no results")
 	}
-	res := search.OneNN(d, randomSet(10, 2, 16), nil)
+	res := oneNN(d, randomSet(10, 2, 16), nil, nil)
 	for i := range res.Indices {
 		if res.Indices[i] != -1 || !math.IsInf(res.Distances[i], 1) {
 			t.Fatalf("empty reference set: got (%d, %g), want (-1, +Inf)", res.Indices[i], res.Distances[i])
 		}
 	}
-	if r := search.LeaveOneOut(d, nil); len(r.Indices) != 0 {
+	if r := leaveOneOut(d, nil, nil); len(r.Indices) != 0 {
 		t.Fatal("empty train must yield no results")
 	}
-	single := search.LeaveOneOut(d, randomSet(11, 1, 16))
+	single := leaveOneOut(d, randomSet(11, 1, 16), nil)
 	if single.Indices[0] != -1 || !math.IsInf(single.Distances[0], 1) {
 		t.Fatalf("singleton train: got (%d, %g), want (-1, +Inf)", single.Indices[0], single.Distances[0])
 	}
@@ -187,7 +236,7 @@ func TestPruningActuallyPrunes(t *testing.T) {
 			queries[i][j] += 0.001 * rng.NormFloat64()
 		}
 	}
-	res := search.OneNN(elastic.DTW{DeltaPercent: 5}, queries, refs)
+	res := oneNN(elastic.DTW{DeltaPercent: 5}, queries, refs, nil)
 	if res.Stats.LBPruned == 0 {
 		t.Fatal("narrow-band DTW over random series should prune at least one candidate")
 	}
@@ -200,7 +249,7 @@ func TestPruningActuallyPrunes(t *testing.T) {
 func TestQuerierReuseAcrossQueries(t *testing.T) {
 	refs := randomSet(14, 25, 64)
 	queries := randomSet(15, 12, 64)
-	ix := search.NewIndex(elastic.DTW{DeltaPercent: 10}, refs)
+	ix := newIndex(elastic.DTW{DeltaPercent: 10}, refs)
 	q := ix.Querier()
 	for i, x := range queries {
 		gotIdx, gotDist := q.Query(x)

@@ -1,7 +1,9 @@
 package search_test
 
 import (
+	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/corpus"
@@ -15,7 +17,22 @@ import (
 
 // snapshotFor builds a snapshot materializing every candidate's state.
 func snapshotFor(series [][]float64, ms ...measure.Measure) *corpus.Snapshot {
-	return corpus.Build(series, corpus.Options{Measures: ms})
+	return buildSnapshot(series, corpus.Options{Measures: ms})
+}
+
+// sameSearch reports whether two results agree bitwise: neighbors,
+// distance bit patterns, and (with stats) work counters.
+func sameSearch(a, b search.Result, stats bool) bool {
+	if len(a.Indices) != len(b.Indices) || (stats && a.Stats != b.Stats) {
+		return false
+	}
+	for i := range a.Indices {
+		if a.Indices[i] != b.Indices[i] ||
+			math.Float64bits(a.Distances[i]) != math.Float64bits(b.Distances[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestGridSnapshotMatchesInline is the snapshot exactness property test:
@@ -36,10 +53,10 @@ func TestGridSnapshotMatchesInline(t *testing.T) {
 		g = eval.Thin(g, stride)
 		for _, d := range archive {
 			snap := snapshotFor(d.Train, g.Candidates...)
-			got := search.LeaveOneOutGridSnapshot(g.Candidates, d.Train, snap)
-			want := search.LeaveOneOutGrid(g.Candidates, d.Train)
+			got := grid(g.Candidates, d.Train, snap)
+			want := grid(g.Candidates, d.Train, nil)
 			for k, cand := range g.Candidates {
-				naive := search.LeaveOneOutSnapshot(cand, d.Train, snap)
+				naive := leaveOneOut(cand, d.Train, snap)
 				for i := range want.PerCandidate[k].Indices {
 					wi, wd := want.PerCandidate[k].Indices[i], want.PerCandidate[k].Distances[i]
 					if got.PerCandidate[k].Indices[i] != wi || got.PerCandidate[k].Distances[i] != wd {
@@ -71,39 +88,75 @@ func TestGridSnapshotMatchesInline(t *testing.T) {
 	}
 }
 
-// TestOneNNSnapshotMatchesInline covers the plain 1-NN and leave-one-out
-// entry points for the three engine shapes: lower-bounded (DTW), grid
-// stateful (SINK), and plain stateful (GAK).
+// TestOneNNSnapshotMatchesInline covers the index plan's two operations,
+// Index.OneNNCtx and Index.LeaveOneOutCtx, over nil, covering and
+// non-covering snapshots for the engine shapes: lower-bounded (DTW, halved
+// leave-one-out), plain symmetric (ERP, halved without bounds), grid
+// stateful (SINK, scan leave-one-out), and plain stateful (GAK, scan).
+// Every route must return bitwise-identical neighbors, distances and work
+// counters; only a covering snapshot may serve state. The halved path's
+// counters depend on which worker scans which rows, so they are compared
+// on the single-worker run, where the schedule is fixed.
 func TestOneNNSnapshotMatchesInline(t *testing.T) {
+	ctx := context.Background()
 	archive := dataset.GenerateArchive(dataset.ArchiveOptions{
 		Seed: 17, Count: 2, MaxLength: 48, MaxTrain: 14, MaxTest: 6,
 	})
+	procs := []int{1, runtime.GOMAXPROCS(0)}
+	defer runtime.GOMAXPROCS(procs[1])
 	for _, m := range []measure.Measure{
 		elastic.DTW{DeltaPercent: 10},
+		elastic.ERP{G: 0},
 		kernel.SINK{Gamma: 5},
 		kernel.GAK{Sigma: 1},
 	} {
+		_, lb := m.(measure.LowerBounded)
+		_, sm := m.(measure.Stateful)
+		halved := measure.IsSymmetric(m) && (lb || !sm)
 		for _, d := range archive {
-			snap := snapshotFor(d.Train, m)
-			got := search.OneNNSnapshot(m, d.Test, d.Train, snap)
-			want := search.OneNN(m, d.Test, d.Train)
-			for i := range want.Indices {
-				if got.Indices[i] != want.Indices[i] ||
-					math.Float64bits(got.Distances[i]) != math.Float64bits(want.Distances[i]) {
-					t.Fatalf("%s on %s: query %d snapshot (%d, %v), inline (%d, %v)",
-						m.Name(), d.Name, i, got.Indices[i], got.Distances[i],
-						want.Indices[i], want.Distances[i])
+			foreignTrain := make([][]float64, len(d.Train))
+			for i := range d.Train {
+				foreignTrain[i] = append([]float64(nil), d.Train[i]...)
+			}
+			covering, foreign := snapshotFor(d.Train, m), snapshotFor(foreignTrain, m)
+			for _, p := range procs {
+				runtime.GOMAXPROCS(p)
+				var want, wantL search.Result
+				for _, tc := range []struct {
+					name string
+					snap *corpus.Snapshot
+				}{{"nil", nil}, {"covering", covering}, {"non-covering", foreign}} {
+					ix, err := search.NewIndexSnapshotCtx(ctx, m, d.Train, tc.snap)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := ix.OneNNCtx(ctx, d.Test)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gotL, err := ix.LeaveOneOutCtx(ctx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if tc.snap == nil {
+						want, wantL = got, gotL
+						continue
+					}
+					if !sameSearch(got, want, true) {
+						t.Fatalf("%s on %s, %d procs: %s snapshot 1-NN %+v, inline %+v",
+							m.Name(), d.Name, p, tc.name, got, want)
+					}
+					if !sameSearch(gotL, wantL, p == 1 || !halved) {
+						t.Fatalf("%s on %s, %d procs: %s snapshot leave-one-out %+v, inline %+v",
+							m.Name(), d.Name, p, tc.name, gotL, wantL)
+					}
 				}
 			}
-			gotL := search.LeaveOneOutSnapshot(m, d.Train, snap)
-			wantL := search.LeaveOneOut(m, d.Train)
-			for i := range wantL.Indices {
-				if gotL.Indices[i] != wantL.Indices[i] ||
-					math.Float64bits(gotL.Distances[i]) != math.Float64bits(wantL.Distances[i]) {
-					t.Fatalf("%s on %s: loo row %d snapshot (%d, %v), inline (%d, %v)",
-						m.Name(), d.Name, i, gotL.Indices[i], gotL.Distances[i],
-						wantL.Indices[i], wantL.Distances[i])
-				}
+			if served := covering.Hits().Total() > 0; served != (lb || sm) {
+				t.Fatalf("%s on %s: covering snapshot served state = %v", m.Name(), d.Name, served)
+			}
+			if h := foreign.Hits(); h.Total() != 0 {
+				t.Fatalf("%s on %s: non-covering snapshot served state: %+v", m.Name(), d.Name, h)
 			}
 		}
 	}
@@ -123,8 +176,8 @@ func TestGridSnapshotDegenerateInputs(t *testing.T) {
 	}
 	g := eval.DTWGrid()
 	snap := snapshotFor(train, g.Candidates...)
-	got := search.LeaveOneOutGridSnapshot(g.Candidates, train, snap)
-	want := search.LeaveOneOutGrid(g.Candidates, train)
+	got := grid(g.Candidates, train, snap)
+	want := grid(g.Candidates, train, nil)
 	for k, cand := range g.Candidates {
 		for i := range want.PerCandidate[k].Indices {
 			wi, wd := want.PerCandidate[k].Indices[i], want.PerCandidate[k].Distances[i]
@@ -150,9 +203,9 @@ func TestSnapshotFallbacks(t *testing.T) {
 	}
 	m := kernel.SINK{Gamma: 5}
 	foreign := snapshotFor(other, m)
-	want := search.OneNN(m, d.Test, d.Train)
+	want := oneNN(m, d.Test, d.Train, nil)
 	for name, snap := range map[string]*corpus.Snapshot{"nil": nil, "foreign": foreign} {
-		got := search.OneNNSnapshot(m, d.Test, d.Train, snap)
+		got := oneNN(m, d.Test, d.Train, snap)
 		for i := range want.Indices {
 			if got.Indices[i] != want.Indices[i] || got.Distances[i] != want.Distances[i] {
 				t.Fatalf("%s snapshot: query %d got (%d, %v), want (%d, %v)",
@@ -164,8 +217,8 @@ func TestSnapshotFallbacks(t *testing.T) {
 		t.Fatalf("foreign snapshot served state: %+v", h)
 	}
 	g := eval.Thin(eval.DTWGrid(), 7)
-	gotG := search.LeaveOneOutGridSnapshot(g.Candidates, d.Train, nil)
-	wantG := search.LeaveOneOutGrid(g.Candidates, d.Train)
+	gotG := grid(g.Candidates, d.Train, nil)
+	wantG := grid(g.Candidates, d.Train, nil)
 	for k := range wantG.PerCandidate {
 		for i := range wantG.PerCandidate[k].Indices {
 			if gotG.PerCandidate[k].Indices[i] != wantG.PerCandidate[k].Indices[i] {
@@ -185,11 +238,11 @@ func TestGridSnapshotStats(t *testing.T) {
 	d := archive[0]
 	g := eval.Thin(eval.SINKGrid(), 4)
 	snap := snapshotFor(d.Train, g.Candidates...)
-	gr := search.LeaveOneOutGridSnapshot(g.Candidates, d.Train, snap)
+	gr := grid(g.Candidates, d.Train, snap)
 	if gr.Stats.PrepSnapshot == 0 {
 		t.Fatalf("snapshot-backed sweep reports no snapshot-served states: %+v", gr.Stats)
 	}
-	inline := search.LeaveOneOutGrid(g.Candidates, d.Train)
+	inline := grid(g.Candidates, d.Train, nil)
 	if inline.Stats.PrepSnapshot != 0 {
 		t.Fatalf("inline sweep reports snapshot-served states: %+v", inline.Stats)
 	}

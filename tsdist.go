@@ -43,6 +43,7 @@ import (
 	"repro/internal/measure"
 	"repro/internal/multivariate"
 	"repro/internal/norm"
+	"repro/internal/run"
 	"repro/internal/search"
 	"repro/internal/sliding"
 	"repro/internal/stats"
@@ -273,19 +274,24 @@ type SearchIndex = search.Index
 
 // NewSearchIndex prepares refs for pruned 1-NN queries under m; obtain a
 // per-goroutine handle with its Querier method.
-func NewSearchIndex(m Measure, refs [][]float64) *SearchIndex { return search.NewIndex(m, refs) }
+func NewSearchIndex(m Measure, refs [][]float64) *SearchIndex {
+	ix, _ := search.NewIndexCtx(context.Background(), m, refs)
+	return ix
+}
 
 // SearchOneNN finds every query's nearest reference through the pruned
 // engine (lower-bound cascade + early abandoning), with neighbors —
 // including ties — identical to exhaustive matrix evaluation.
 func SearchOneNN(m Measure, queries, refs [][]float64) SearchResult {
-	return search.OneNN(m, queries, refs)
+	res, _ := search.OneNNCtx(context.Background(), m, queries, refs)
+	return res
 }
 
 // SearchLeaveOneOut finds each training series' nearest other training
 // series, halving the work for exactly symmetric measures.
 func SearchLeaveOneOut(m Measure, train [][]float64) SearchResult {
-	return search.LeaveOneOut(m, train)
+	res, _ := NewSearchIndex(m, train).LeaveOneOutCtx(context.Background())
+	return res
 }
 
 // AllElastic returns the 7 elastic measures at the paper's unsupervised
@@ -364,7 +370,8 @@ func EmbeddingMeasure(e Embedder) Measure { return embedding.Measure{E: e} }
 // DistanceMatrix computes E[i][j] = d(queries[i], refs[j]) in parallel,
 // using the stateful fast path when the measure provides one.
 func DistanceMatrix(m Measure, queries, refs [][]float64) [][]float64 {
-	return eval.Matrix(m, queries, refs)
+	e, _ := eval.MatrixCtx(context.Background(), m, queries, refs, nil)
+	return e
 }
 
 // OneNN is Algorithm 1: 1-NN classification accuracy from a test-by-train
@@ -380,13 +387,15 @@ func LeaveOneOut(w [][]float64, labels []int) float64 { return eval.LeaveOneOut(
 // TestAccuracy evaluates a fixed measure on a dataset under a normalizer
 // (nil = data as stored).
 func TestAccuracy(m Measure, d *Dataset, n Normalizer) float64 {
-	return eval.TestAccuracy(m, d, n)
+	acc, _ := eval.TestAccuracyCtx(context.Background(), m, d, n)
+	return acc
 }
 
 // SupervisedAccuracy tunes the grid by leave-one-out on the training split
 // and reports test accuracy with the selected candidate.
 func SupervisedAccuracy(g Grid, d *Dataset, n Normalizer) (float64, Measure) {
-	return eval.SupervisedAccuracy(g, d, n)
+	acc, chosen, _ := eval.SupervisedAccuracyCtx(context.Background(), g, d, n)
+	return acc, chosen
 }
 
 // Parameter grids of Table 4.
@@ -451,28 +460,38 @@ type RuntimePoint = experiments.RuntimePoint
 // curves.
 type ConvergencePoint = experiments.ConvergencePoint
 
+// background adapts a context-aware experiment driver to the facade's
+// plain form: a background context and no progress reporter.
+func background[T any](driver func(context.Context, ExperimentOptions, run.Reporter) (T, error)) func(ExperimentOptions) T {
+	return func(opts ExperimentOptions) T {
+		v, _ := driver(context.Background(), opts, nil)
+		return v
+	}
+}
+
 // Experiment drivers, one per table and figure of the paper.
 var (
-	Table2  = experiments.Table2
-	Table3  = experiments.Table3
+	Table2  = background(experiments.Table2Ctx)
+	Table3  = background(experiments.Table3Ctx)
 	Table4  = experiments.Table4
-	Table5  = experiments.Table5
-	Table6  = experiments.Table6
-	Table7  = experiments.Table7
+	Table5  = background(experiments.Table5Ctx)
+	Table6  = background(experiments.Table6Ctx)
+	Table7  = background(experiments.Table7Ctx)
 	Figure1 = experiments.Figure1
-	Figure2 = experiments.Figure2
-	Figure3 = experiments.Figure3
-	Figure4 = experiments.Figure4
-	Figure5 = experiments.Figure5
-	Figure6 = experiments.Figure6
-	Figure7 = experiments.Figure7
-	Figure8 = experiments.Figure8
-	Figure9 = experiments.Figure9
+	Figure2 = background(experiments.Figure2Ctx)
+	Figure3 = background(experiments.Figure3Ctx)
+	Figure4 = background(experiments.Figure4Ctx)
+	Figure5 = background(experiments.Figure5Ctx)
+	Figure6 = background(experiments.Figure6Ctx)
+	Figure7 = background(experiments.Figure7Ctx)
+	Figure8 = background(experiments.Figure8Ctx)
+	Figure9 = background(experiments.Figure9Ctx)
 )
 
 // Figure10 reproduces the error-vs-training-size experiment.
 func Figure10(opts ExperimentOptions, maxTrain int, sizes []int) []ConvergencePoint {
-	return experiments.Figure10(opts, maxTrain, sizes)
+	p, _ := experiments.Figure10Ctx(context.Background(), opts, nil, maxTrain, sizes)
+	return p
 }
 
 // RenderRuntime formats Figure 9 points.
@@ -604,7 +623,8 @@ type ANNIndex = ann.Index
 // BuildANN fits the embedder on refs and builds the approximate index
 // for queries under m.
 func BuildANN(refs [][]float64, m Measure, cfg ANNConfig) *ANNIndex {
-	return ann.Build(refs, m, cfg)
+	ix, _ := ann.BuildCtx(context.Background(), refs, m, cfg, measure.RefState{})
+	return ix
 }
 
 // ApproxResult is the outcome of an approximate search: per-query
@@ -616,13 +636,15 @@ type ApproxResult = search.ApproxResult
 // exact, and candidate budgets covering the corpus make the result
 // identical to exact search.
 func OneNNApprox(m Measure, queries, refs [][]float64, cfg ANNConfig) ApproxResult {
-	return search.OneNNApprox(m, queries, refs, cfg)
+	res, _ := search.KNNApproxCtx(context.Background(), m, queries, refs, 1, cfg, nil)
+	return res
 }
 
 // KNNApprox answers every query with its approximate k nearest
 // references, sorted by (exact distance, index).
 func KNNApprox(m Measure, queries, refs [][]float64, k int, cfg ANNConfig) ApproxResult {
-	return search.KNNApprox(m, queries, refs, k, cfg)
+	res, _ := search.KNNApproxCtx(context.Background(), m, queries, refs, k, cfg, nil)
+	return res
 }
 
 // SAX is the symbolic aggregate approximation scheme with its MINDIST
