@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt vet-bench race check-race oracle oracle-long bench bench-compare golden smoke check
+.PHONY: build test vet fmt vet-bench race check-race oracle oracle-long fuzz bench bench-compare golden smoke check
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,13 @@ oracle:
 # Extended fuzzing campaign (32 seeds); slower, run before releases.
 oracle-long:
 	$(GO) test ./internal/oracle -run Oracle -oracle.long
+
+# Coverage-guided fuzzing, 10 s per target: exact search through every
+# measure.Plan route against brute force on arbitrary float64 payloads
+# (NaN, Inf, constant and empty series). The committed seed corpus under
+# internal/search/testdata/fuzz also runs on every plain `go test`.
+fuzz:
+	$(GO) test ./internal/search -run '^$$' -fuzz '^FuzzPlanRoutesAgree$$' -fuzztime 10s
 
 # Smoke-run every benchmark once, then measure the grid tuning benchmarks
 # (per-candidate loop vs grid engine), the spectral engine, the hot-loop
@@ -107,4 +114,4 @@ smoke:
 # CI entry point: everything that must be green before merging. Perf-
 # sensitive changes should additionally run `make bench-compare` against
 # the committed BENCH_* baselines (see the bench-compare target above).
-check: build fmt vet vet-bench test check-race oracle
+check: build fmt vet vet-bench test check-race oracle fuzz

@@ -108,7 +108,6 @@ type Stats struct {
 // exact measure. It is immutable after construction and safe for
 // concurrent use through per-goroutine Queriers.
 type Index struct {
-	m    measure.Measure
 	refs [][]float64
 	cfg  Config
 
@@ -116,37 +115,24 @@ type Index struct {
 	reps     [][]float64
 	tree     *index.VPTree
 
-	// Optional exact fast paths, resolved once. stateful is set only for
-	// measures that are not LowerBounded, matching measure.RefState.
-	lb       measure.LowerBounded
-	ea       measure.EarlyAbandoning
-	stateful measure.Stateful
-	bounds   []measure.BoundContext // per-ref, when lb != nil
-	prep     []any                  // per-ref, when stateful != nil
+	// The exact re-rank cascade, resolved once, and its per-ref state.
+	plan measure.Plan
+	st   measure.RefState
 }
 
 // BuildCtx fits the GRAIL embedder on the corpus, transforms every
 // series in parallel, indexes the representations, and prepares the exact
-// re-rank state, adopting st's bound contexts or prepared states (e.g. a
-// corpus snapshot's) instead of rebuilding them; a non-nil slice in st
-// must have one entry per reference. ctx is observed by the fit, the
+// re-rank state, adopting st (e.g. a corpus snapshot's) instead of
+// rebuilding it; a non-nil st must have one entry per reference. ctx is observed by the fit, the
 // transform fan-out, the tree build and the state fill. An empty corpus
 // builds an empty index whose searches return no neighbors.
 func BuildCtx(ctx context.Context, refs [][]float64, m measure.Measure, cfg Config, st measure.RefState) (*Index, error) {
-	ix := &Index{m: m, refs: refs, cfg: cfg}
-	ix.lb, _ = m.(measure.LowerBounded)
-	ix.ea, _ = m.(measure.EarlyAbandoning)
-	if ix.lb == nil {
-		ix.stateful, _ = m.(measure.Stateful)
-	}
+	ix := &Index{refs: refs, cfg: cfg, plan: measure.NewPlan(m)}
 	if len(refs) == 0 {
 		return ix, nil
 	}
-	if st.Bounds != nil && len(st.Bounds) != len(refs) {
-		panic(fmt.Sprintf("ann: %d adopted bound contexts for %d series", len(st.Bounds), len(refs)))
-	}
-	if st.Prep != nil && len(st.Prep) != len(refs) {
-		panic(fmt.Sprintf("ann: %d adopted prepared states for %d series", len(st.Prep), len(refs)))
+	if st != nil && len(st) != len(refs) {
+		panic(fmt.Sprintf("ann: %d adopted states for %d series", len(st), len(refs)))
 	}
 
 	dim := cfg.dim()
@@ -169,11 +155,9 @@ func BuildCtx(ctx context.Context, refs [][]float64, m measure.Measure, cfg Conf
 	}
 	ix.tree = tree
 
-	st, err = measure.BuildRefState(ctx, m, refs, st)
-	if err != nil {
+	if ix.st, err = ix.plan.RefState(ctx, refs, st); err != nil {
 		return nil, err
 	}
-	ix.bounds, ix.prep = st.Bounds, st.Prep
 	return ix, nil
 }
 
@@ -181,7 +165,10 @@ func BuildCtx(ctx context.Context, refs [][]float64, m measure.Measure, cfg Conf
 func (ix *Index) Size() int { return len(ix.refs) }
 
 // Measure returns the exact measure candidates are re-ranked with.
-func (ix *Index) Measure() measure.Measure { return ix.m }
+func (ix *Index) Measure() measure.Measure { return ix.plan.Measure() }
+
+// Config returns the configuration the index was built with.
+func (ix *Index) Config() Config { return ix.cfg }
 
 // Candidates returns the effective per-query candidate budget.
 func (ix *Index) Candidates() int { return ix.cfg.candidates(len(ix.refs)) }
@@ -190,18 +177,18 @@ func (ix *Index) Candidates() int { return ix.cfg.candidates(len(ix.refs)) }
 func (ix *Index) Transform(q []float64) []float64 { return ix.embedder.Transform(q) }
 
 // Querier runs approximate queries against one Index. It owns mutable
-// per-query scratch (the query-side bound context), so each goroutine
-// needs its own; Queriers are cheap to create.
+// per-query scratch (the query-side state), so each goroutine needs its
+// own; Queriers are cheap to create.
 type Querier struct {
 	ix *Index
-	cq measure.BoundContext
+	qs measure.State
 }
 
 // NewQuerier returns a query handle for concurrent use.
 func (ix *Index) NewQuerier() *Querier {
 	qr := &Querier{ix: ix}
-	if ix.lb != nil && len(ix.refs) > 0 {
-		qr.cq = ix.lb.NewBoundContext(len(ix.refs[0]))
+	if len(ix.refs) > 0 {
+		qr.qs = ix.plan.NewState(len(ix.refs[0]))
 	}
 	return qr
 }
@@ -257,46 +244,24 @@ func (qr *Querier) KNN(q []float64, k int) ([]index.Neighbor, Stats) {
 
 // rerank computes exact distances for the candidate indices (in the
 // given order — embedding-space-ascending, so the cutoff tightens fast)
-// and returns the best k by (distance, index). The cascade per
-// candidate: lower bound against the current kth-best cutoff, then
-// early-abandoning exact distance, then prepared or plain exact.
+// and returns the best k by (distance, index). Each candidate runs the
+// plan's cascade against the current kth-best cutoff; a pruned or
+// abandoned candidate cannot improve the heap, and offering a
+// possibly-abandoned value would corrupt a tie.
 func (qr *Querier) rerank(q []float64, cands []int, k int, stats *Stats) []index.Neighbor {
 	ix := qr.ix
-	var pq any
-	if ix.stateful != nil {
-		pq = ix.stateful.Prepare(q)
-	}
-	if qr.cq != nil {
-		qr.cq.Fill(q)
-	}
+	qs := ix.plan.Fill(qr.qs, q)
 	h := make(annHeap, 0, k)
 	for _, i := range cands {
-		cutoff := h.cutoff(k)
-		if ix.lb != nil && ix.bounds != nil && cutoff < math.Inf(1) {
-			if lb := ix.lb.LowerBound(q, ix.refs[i], qr.cq, ix.bounds[i], cutoff); lb >= cutoff {
-				stats.LBPruned++
-				continue
-			}
+		d, o := ix.plan.Pair(q, qs, ix.refs[i], ix.st.At(i), h.cutoff(k))
+		if o == measure.Pruned {
+			stats.LBPruned++
+			continue
 		}
-		var d float64
-		switch {
-		case ix.ea != nil && cutoff < math.Inf(1):
-			d = ix.ea.DistanceUpTo(q, ix.refs[i], cutoff)
-			stats.Exact++
-			if !(d < cutoff) {
-				// DistanceUpTo only certifies d >= cutoff here, not the
-				// exact value; the candidate cannot improve the heap, and
-				// offering a possibly-abandoned value would corrupt a tie.
-				continue
-			}
-		case pq != nil:
-			d = ix.stateful.PreparedDistance(pq, ix.prep[i])
-			stats.Exact++
-		default:
-			d = ix.m.Distance(q, ix.refs[i])
-			stats.Exact++
+		stats.Exact++
+		if o == measure.Computed {
+			h.offer(index.Neighbor{Index: i, Dist: d}, k)
 		}
-		h.offer(index.Neighbor{Index: i, Dist: measure.Sanitize(d)}, k)
 	}
 	out := []index.Neighbor(h)
 	sort.Slice(out, func(a, b int) bool {

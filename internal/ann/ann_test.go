@@ -158,7 +158,7 @@ func TestKNNDistancesAreExact(t *testing.T) {
 // build runs BuildCtx under a background context (which never cancels)
 // without adopted state.
 func build(refs [][]float64, m measure.Measure, cfg Config) *Index {
-	ix, _ := BuildCtx(context.Background(), refs, m, cfg, measure.RefState{})
+	ix, _ := BuildCtx(context.Background(), refs, m, cfg, nil)
 	return ix
 }
 
@@ -170,13 +170,12 @@ func TestBuildPreparedAdoptsState(t *testing.T) {
 	cfg := Config{Candidates: 12, Seed: 11}
 	own := build(refs, m, cfg)
 
-	lb := measure.LowerBounded(m)
-	bounds := make([]measure.BoundContext, len(refs))
+	plan := measure.NewPlan(m)
+	st := make(measure.RefState, len(refs))
 	for i, r := range refs {
-		bounds[i] = lb.NewBoundContext(len(r))
-		bounds[i].Fill(r)
+		st[i] = plan.Fill(plan.NewState(len(r)), r)
 	}
-	adopted, err := BuildCtx(context.Background(), refs, m, cfg, measure.RefState{Bounds: bounds})
+	adopted, err := BuildCtx(context.Background(), refs, m, cfg, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +195,7 @@ func TestBuildPreparedAdoptsState(t *testing.T) {
 func TestBuildCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := BuildCtx(ctx, testCorpus(64, 64, 13), lockstep.Euclidean(), Config{}, measure.RefState{}); err == nil {
+	if _, err := BuildCtx(ctx, testCorpus(64, 64, 13), lockstep.Euclidean(), Config{}, nil); err == nil {
 		t.Fatal("cancelled build returned nil error")
 	}
 }

@@ -87,10 +87,7 @@ func BenchmarkANNPrunedScanN2048(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := qs[i%len(qs)]
-		qr := Querier{ix: ix}
-		if ix.lb != nil {
-			qr.cq = ix.lb.NewBoundContext(len(q))
-		}
+		qr := ix.NewQuerier()
 		all := make([]int, n)
 		for j := range all {
 			all[j] = j

@@ -1,18 +1,16 @@
 // Package corpus implements the build-once prepared-state layer that
 // separates *corpus build* from *query execute*: an immutable Snapshot
 // holds a reference set together with every per-series state the search
-// and evaluation engines would otherwise re-derive on each call —
-// measure.Stateful preparations (FFT plans, norms, DP profiles),
-// measure.GridStateful shared cores (one spectrum + self cross-correlation
-// per series for a whole SINK gamma sweep), filled measure.LowerBounded
-// bound contexts (the Lemire envelopes of the DTW cascade), per-series
-// finiteness flags, and the PAA/SAX words of internal/index.
+// and evaluation engines would otherwise re-derive on each call — one
+// measure.RefState per measure, built by its measure.Plan (the Lemire
+// envelopes of the DTW cascade, the FFT plans and norms of SINK, ...),
+// per-series finiteness flags, and the PAA/SAX words of internal/index.
 //
 // A Snapshot is built once, in parallel, under a cancellable context, and
 // is immutable afterwards: every accessor returns state that is only ever
 // read. Every search, eval and ann entry point that prepares per-series
 // state takes an optional snapshot and adopts its state through
-// Snapshot.RefState and measure.BuildRefState, producing results bitwise
+// Snapshot.RefState and measure.Plan.RefState, producing results bitwise
 // identical to inline preparation — the snapshot changes where per-series
 // state comes from, never what is computed from it. A nil snapshot (or one
 // that does not cover the series at hand) prepares inline through the same
@@ -122,12 +120,9 @@ type ANNSpec struct {
 // value builds only the fingerprint and finiteness flags.
 type Options struct {
 	// Measures lists the measures repeated queries will use. For each,
-	// the builder materializes the state the search engine needs:
+	// BuildCtx materializes the RefState its measure.Plan needs:
 	// filled bound contexts for LowerBounded measures, prepared states
-	// for Stateful ones (specialized from one shared family core for
-	// GridStateful families, aliased verbatim across PreparationSharing
-	// families), and the GridStateful cores themselves for the tuning
-	// engine. Duplicate names build once.
+	// for Stateful ones. Duplicate names build once.
 	Measures []measure.Measure
 	// PAASegments lists PAA resolutions to precompute per series.
 	PAASegments []int
@@ -139,32 +134,16 @@ type Options struct {
 	ANN []ANNSpec
 }
 
-// coreFamily is one GridStateful preparation family: the representative
-// measure whose SharesPreparation anchors membership, and the shared
-// candidate-independent core of every series.
-type coreFamily struct {
-	rep   measure.Measure
-	cores []any
-}
-
-// sharedPrep is one plain-Stateful preparation usable verbatim across a
-// PreparationSharing family, anchored by the measure that built it.
-type sharedPrep struct {
-	owner measure.Stateful
-	prep  []any
-}
-
 // Hits counts prepared-state lookups served by a snapshot, by section.
 // The counters are cumulative over the snapshot's lifetime; each hit is
 // one per-series state an engine did not have to recompute.
 type Hits struct {
 	Prepared int64 // Stateful prepared states served
 	Bounds   int64 // filled bound contexts served
-	Cores    int64 // GridStateful family cores served
 }
 
 // Total is the sum over all sections.
-func (h Hits) Total() int64 { return h.Prepared + h.Bounds + h.Cores }
+func (h Hits) Total() int64 { return h.Prepared + h.Bounds }
 
 // Snapshot is an immutable prepared view of one corpus. All stored state
 // is read-only after Build returns: engines must never Fill, Rebind, or
@@ -177,17 +156,13 @@ type Snapshot struct {
 	fp     Fingerprint
 	finite []bool
 
-	prep   map[string][]any                  // measure name -> per-series prepared state
-	bounds map[string][]measure.BoundContext // measure name -> per-series filled contexts
-	fams   []coreFamily                      // GridStateful family cores
-	shares []sharedPrep                      // verbatim-sharable Prepare outputs
-	paa    map[int][][]float64               // segments -> per-series PAA words
-	sax    map[SAXSpec][][]int               // spec -> per-series SAX words
-	annIdx map[string]*ann.Index             // measure name -> approximate index
+	states map[string]measure.RefState // measure name -> per-series state (nil: none needed)
+	paa    map[int][][]float64         // segments -> per-series PAA words
+	sax    map[SAXSpec][][]int         // spec -> per-series SAX words
+	annIdx map[string]*ann.Index       // measure name -> approximate index
 
 	hitPrepared atomic.Int64
 	hitBounds   atomic.Int64
-	hitCores    atomic.Int64
 }
 
 // BuildCtx builds a snapshot of series, computing every requested section
@@ -199,8 +174,7 @@ func BuildCtx(ctx context.Context, series [][]float64, opts Options) (*Snapshot,
 	n := len(series)
 	s := &Snapshot{
 		series: series,
-		prep:   map[string][]any{},
-		bounds: map[string][]measure.BoundContext{},
+		states: map[string]measure.RefState{},
 		paa:    map[int][][]float64{},
 		sax:    map[SAXSpec][][]int{},
 		annIdx: map[string]*ann.Index{},
@@ -215,50 +189,15 @@ func BuildCtx(ctx context.Context, series [][]float64, opts Options) (*Snapshot,
 
 	for _, m := range opts.Measures {
 		name := m.Name()
-		if _, ok := s.prep[name]; ok {
+		if _, ok := s.states[name]; ok {
 			continue
 		}
-		if _, ok := s.bounds[name]; ok {
-			continue
+		plan := measure.NewPlan(m)
+		st, err := plan.RefState(ctx, series, nil)
+		if err != nil {
+			return nil, err
 		}
-		switch mm := m.(type) {
-		case measure.LowerBounded:
-			st, err := measure.BuildRefState(ctx, mm, series, measure.RefState{})
-			if err != nil {
-				return nil, err
-			}
-			s.bounds[name] = st.Bounds
-		case measure.GridStateful:
-			cores, err := s.familyCores(ctx, mm, series)
-			if err != nil {
-				return nil, err
-			}
-			prep := make([]any, n)
-			if err := par.ForCtx(ctx, n, par.Workers(n), func(i int) {
-				prep[i] = mm.CandidateState(cores[i])
-			}); err != nil {
-				return nil, err
-			}
-			s.prep[name] = prep
-		case measure.PreparationSharing:
-			aliased := false
-			for _, prev := range s.shares {
-				if mm.SharesPreparation(prev.owner) {
-					s.prep[name] = prev.prep
-					aliased = true
-					break
-				}
-			}
-			if !aliased {
-				if err := s.prepare(ctx, mm, series); err != nil {
-					return nil, err
-				}
-			}
-		case measure.Stateful:
-			if err := s.prepare(ctx, mm, series); err != nil {
-				return nil, err
-			}
-		}
+		s.states[name] = st
 	}
 
 	for _, seg := range opts.PAASegments {
@@ -299,44 +238,13 @@ func BuildCtx(ctx context.Context, series [][]float64, opts Options) (*Snapshot,
 		if _, ok := s.annIdx[name]; ok {
 			continue
 		}
-		st := measure.RefState{Bounds: s.bounds[name], Prep: s.prep[name]}
-		ix, err := ann.BuildCtx(ctx, series, spec.Measure, spec.Config, st)
+		ix, err := ann.BuildCtx(ctx, series, spec.Measure, spec.Config, s.states[name])
 		if err != nil {
 			return nil, err
 		}
 		s.annIdx[name] = ix
 	}
 	return s, nil
-}
-
-// familyCores returns the GridStateful cores shared by gs's family,
-// building them on first use.
-func (s *Snapshot) familyCores(ctx context.Context, gs measure.GridStateful, series [][]float64) ([]any, error) {
-	for _, f := range s.fams {
-		if gs.SharesPreparation(f.rep) {
-			return f.cores, nil
-		}
-	}
-	cores := make([]any, len(series))
-	if err := par.ForCtx(ctx, len(series), par.Workers(len(series)), func(i int) {
-		cores[i] = gs.GridPrepare(series[i])
-	}); err != nil {
-		return nil, err
-	}
-	s.fams = append(s.fams, coreFamily{rep: gs, cores: cores})
-	return cores, nil
-}
-
-// prepare stores sm's Prepare outputs under its name and offers them to
-// later PreparationSharing family members.
-func (s *Snapshot) prepare(ctx context.Context, sm measure.Stateful, series [][]float64) error {
-	st, err := measure.BuildRefState(ctx, sm, series, measure.RefState{})
-	if err != nil {
-		return err
-	}
-	s.prep[sm.Name()] = st.Prep
-	s.shares = append(s.shares, sharedPrep{owner: sm, prep: st.Prep})
-	return nil
 }
 
 func allFinite(x []float64) bool {
@@ -379,125 +287,26 @@ func (s *Snapshot) Covers(series [][]float64) bool {
 	return true
 }
 
-// Prepared returns the per-series Stateful prepared states valid for m —
-// stored under m's own name, or shared verbatim from a PreparationSharing
-// family member built for the same corpus — or nil when the snapshot holds
-// none. A non-nil return counts one hit per series.
-func (s *Snapshot) Prepared(m measure.Measure) []any {
-	if s == nil {
-		return nil
-	}
-	if p := s.prep[m.Name()]; p != nil {
-		s.hitPrepared.Add(int64(len(p)))
-		return p
-	}
-	// GridStateful measures must not adopt a family member's full Prepare
-	// state: it is candidate-dependent (only the grid core is shared).
-	if _, grid := m.(measure.GridStateful); grid {
-		return nil
-	}
-	if ps, ok := m.(measure.PreparationSharing); ok {
-		for _, sh := range s.shares {
-			if ps.SharesPreparation(sh.owner) {
-				s.hitPrepared.Add(int64(len(sh.prep)))
-				return sh.prep
-			}
-		}
-	}
-	return nil
-}
-
-// PreparedStates returns per-series prepared states for m from whatever
-// the snapshot holds: stored Prepare outputs (Prepared), or states
-// specialized on the fly from the measure's GridStateful family core —
-// bitwise equivalent to Prepare by the GridStateful contract. It returns
-// (nil, nil) when the snapshot holds neither; the error is non-nil only
-// when specialization was cancelled.
-func (s *Snapshot) PreparedStates(ctx context.Context, m measure.Measure) ([]any, error) {
-	if s == nil {
-		return nil, nil
-	}
-	if p := s.Prepared(m); p != nil {
-		return p, nil
-	}
-	gs, ok := m.(measure.GridStateful)
-	if !ok {
-		return nil, nil
-	}
-	cores := s.GridCores(m)
-	if cores == nil {
-		return nil, nil
-	}
-	states := make([]any, len(cores))
-	if err := par.ForCtx(ctx, len(cores), par.Workers(len(cores)), func(i int) {
-		states[i] = gs.CandidateState(cores[i])
-	}); err != nil {
-		return nil, err
-	}
-	return states, nil
-}
-
-// RefState returns the per-series state of m that the snapshot can serve
-// for series, for measure.BuildRefState to adopt: the filled bound
-// contexts of a LowerBounded m, otherwise the stored prepared states of a
-// Stateful m — or, with specialize, PreparedStates, which also derives
-// them from m's GridStateful family core. It is the zero RefState when s
-// is nil, does not cover series, or holds nothing for m; the error is
-// non-nil only when specialization was cancelled.
-func (s *Snapshot) RefState(ctx context.Context, m measure.Measure, series [][]float64, specialize bool) (measure.RefState, error) {
-	var st measure.RefState
+// RefState returns the per-series state the snapshot holds for m, for
+// measure.Plan.RefState to adopt: filled bound contexts for a
+// LowerBounded m, prepared states for a Stateful one. It is nil when s is
+// nil, does not cover series, or holds nothing for m (including measures
+// that need no state). A non-nil return counts one hit per series. The
+// state is read-only: it may be passed to the plan's cascade but never
+// refilled or rebound.
+func (s *Snapshot) RefState(m measure.Measure, series [][]float64) measure.RefState {
 	if !s.Covers(series) {
-		return st, nil
-	}
-	if _, ok := m.(measure.LowerBounded); ok {
-		st.Bounds = s.BoundContexts(m)
-		return st, nil
-	}
-	if _, ok := m.(measure.Stateful); !ok {
-		return st, nil
-	}
-	if !specialize {
-		st.Prep = s.Prepared(m)
-		return st, nil
-	}
-	var err error
-	st.Prep, err = s.PreparedStates(ctx, m)
-	return st, err
-}
-
-// BoundContexts returns the per-series filled bound contexts of m, or nil
-// when the snapshot holds none. The contexts are read-only: they may be
-// passed to LowerBound but never Fill'd or rebound. A non-nil return
-// counts one hit per series.
-func (s *Snapshot) BoundContexts(m measure.Measure) []measure.BoundContext {
-	if s == nil {
 		return nil
 	}
-	c := s.bounds[m.Name()]
-	if c != nil {
-		s.hitBounds.Add(int64(len(c)))
-	}
-	return c
-}
-
-// GridCores returns the shared GridStateful family cores valid for m, or
-// nil when the snapshot holds none. A non-nil return counts one hit per
-// series.
-func (s *Snapshot) GridCores(m measure.Measure) []any {
-	if s == nil {
-		return nil
-	}
-	gs, ok := m.(measure.GridStateful)
-	if !ok {
-		return nil
-	}
-	for _, f := range s.fams {
-		if gs.SharesPreparation(f.rep) {
-			s.hitCores.Add(int64(len(f.cores)))
-			return f.cores
+	st := s.states[m.Name()]
+	if len(st) > 0 {
+		if st[0].Bound != nil {
+			s.hitBounds.Add(int64(len(st)))
+		} else {
+			s.hitPrepared.Add(int64(len(st)))
 		}
 	}
-	return nil
+	return st
 }
 
 // ANNIndex returns the snapshot's approximate retrieval index for m, or
@@ -532,17 +341,5 @@ func (s *Snapshot) Hits() Hits {
 	if s == nil {
 		return Hits{}
 	}
-	return Hits{
-		Prepared: s.hitPrepared.Load(),
-		Bounds:   s.hitBounds.Load(),
-		Cores:    s.hitCores.Load(),
-	}
-}
-
-// Sections summarizes what the snapshot holds, for logs and tests.
-func (s *Snapshot) Sections() (prepared, bounds, cores int) {
-	if s == nil {
-		return 0, 0, 0
-	}
-	return len(s.prep), len(s.bounds), len(s.fams)
+	return Hits{Prepared: s.hitPrepared.Load(), Bounds: s.hitBounds.Load()}
 }

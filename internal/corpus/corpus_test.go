@@ -11,6 +11,7 @@ import (
 	"repro/internal/elastic"
 	"repro/internal/index"
 	"repro/internal/kernel"
+	"repro/internal/lockstep"
 	"repro/internal/measure"
 )
 
@@ -103,32 +104,29 @@ func TestCovers(t *testing.T) {
 
 func TestBuildSections(t *testing.T) {
 	series := testSeries(6, 8, 32)
+	dtw := elastic.DTW{DeltaPercent: 10}
 	s := build(series, corpus.Options{Measures: []measure.Measure{
-		elastic.DTW{DeltaPercent: 10}, // LowerBounded -> bounds
-		kernel.SINK{Gamma: 1},         // GridStateful -> prep + family core
-		kernel.SINK{Gamma: 2},         // same family, second prep entry
-		kernel.GAK{Sigma: 1},          // plain Stateful -> prep
+		dtw,                   // LowerBounded -> bound contexts
+		kernel.SINK{Gamma: 1}, // Stateful -> prepared states
+		kernel.SINK{Gamma: 2}, // another gamma: its own prepared states
+		kernel.GAK{Sigma: 1},  // Stateful -> prepared states
+		lockstep.Euclidean(),  // stateless -> nothing to serve
 	}})
-	prep, bounds, cores := s.Sections()
-	if bounds != 1 {
-		t.Fatalf("bounds sections = %d, want 1", bounds)
+	st := s.RefState(dtw, series)
+	if len(st) != len(series) || st[0].Bound == nil {
+		t.Fatalf("DTW state = %d entries, want %d bound contexts", len(st), len(series))
 	}
-	if prep != 3 {
-		t.Fatalf("prep sections = %d, want 3 (two SINK gammas + GAK)", prep)
+	for _, m := range []measure.Measure{kernel.SINK{Gamma: 1}, kernel.SINK{Gamma: 2}, kernel.GAK{Sigma: 1}} {
+		if st := s.RefState(m, series); len(st) != len(series) || st[0].Prep == nil {
+			t.Fatalf("%s state = %d entries, want %d prepared states", m.Name(), len(st), len(series))
+		}
 	}
-	if cores != 1 {
-		t.Fatalf("core families = %d, want 1 (SINK gammas share one family)", cores)
+	// One state per measure name: a gamma the build never saw gets none.
+	if got := s.RefState(kernel.SINK{Gamma: 7}, series); got != nil {
+		t.Fatalf("state served for a SINK gamma the build never saw")
 	}
-	if got := s.BoundContexts(elastic.DTW{DeltaPercent: 10}); len(got) != len(series) {
-		t.Fatalf("bound contexts = %d, want %d", len(got), len(series))
-	}
-	// A gamma the build never saw still gets family cores: the whole sweep
-	// shares one GridPrepare per series.
-	if got := s.GridCores(kernel.SINK{Gamma: 7}); len(got) != len(series) {
-		t.Fatalf("family cores for unseen gamma = %d, want %d", len(got), len(series))
-	}
-	if got := s.Prepared(kernel.SINK{Gamma: 7}); got != nil {
-		t.Fatalf("full Prepare state served for unseen gamma (candidate-dependent)")
+	if got := s.RefState(lockstep.Euclidean(), series); got != nil {
+		t.Fatalf("state served for a stateless measure")
 	}
 }
 
@@ -141,40 +139,18 @@ func TestPreparedStatesBitwise(t *testing.T) {
 		kernel.GAK{Sigma: 1},
 	} {
 		s := build(series, corpus.Options{Measures: []measure.Measure{sm}})
-		got, err := s.PreparedStates(context.Background(), sm)
-		if err != nil {
-			t.Fatalf("%s: PreparedStates: %v", sm.Name(), err)
-		}
+		got := s.RefState(sm, series)
 		if got == nil {
 			t.Fatalf("%s: snapshot holds no prepared states", sm.Name())
 		}
 		for i := range series {
 			for j := range series {
 				want := sm.PreparedDistance(sm.Prepare(series[i]), sm.Prepare(series[j]))
-				have := sm.PreparedDistance(got[i], got[j])
+				have := sm.PreparedDistance(got[i].Prep, got[j].Prep)
 				if math.Float64bits(want) != math.Float64bits(have) {
 					t.Fatalf("%s: d(%d,%d) = %v from snapshot, %v inline", sm.Name(), i, j, have, want)
 				}
 			}
-		}
-	}
-}
-
-// States specialized from family cores for a gamma the build never saw
-// must match that gamma's own Prepare bitwise (GridStateful contract).
-func TestPreparedStatesSpecializeFromCores(t *testing.T) {
-	series := testSeries(8, 5, 32)
-	s := build(series, corpus.Options{Measures: []measure.Measure{kernel.SINK{Gamma: 1}}})
-	unseen := kernel.SINK{Gamma: 9}
-	got, err := s.PreparedStates(context.Background(), unseen)
-	if err != nil || got == nil {
-		t.Fatalf("PreparedStates for unseen gamma: %v, err %v", got, err)
-	}
-	for i := range series {
-		want := unseen.PreparedDistance(unseen.Prepare(series[i]), unseen.Prepare(series[(i+1)%len(series)]))
-		have := unseen.PreparedDistance(got[i], got[(i+1)%len(series)])
-		if math.Float64bits(want) != math.Float64bits(have) {
-			t.Fatalf("specialized state diverges at %d: %v vs %v", i, have, want)
 		}
 	}
 }
@@ -275,11 +251,11 @@ func TestHitCounters(t *testing.T) {
 	if h := s.Hits(); h.Total() != 0 {
 		t.Fatalf("fresh snapshot has hits: %+v", h)
 	}
-	s.Prepared(sink)
-	s.BoundContexts(dtw)
-	s.GridCores(sink)
+	s.RefState(sink, series)
+	s.RefState(dtw, series)
+	s.RefState(dtw, series[:2]) // not covered: no hit
 	h := s.Hits()
-	if h.Prepared != int64(len(series)) || h.Bounds != int64(len(series)) || h.Cores != int64(len(series)) {
+	if h.Prepared != int64(len(series)) || h.Bounds != int64(len(series)) {
 		t.Fatalf("hits = %+v, want %d per section", h, len(series))
 	}
 }
@@ -310,7 +286,7 @@ func TestSnapshotANNIndex(t *testing.T) {
 	}
 	// The snapshot-built index must answer identically to a standalone
 	// build over the same corpus and config.
-	own, err := ann.BuildCtx(context.Background(), series, dtw, ann.Config{Candidates: 8, Seed: 1}, measure.RefState{})
+	own, err := ann.BuildCtx(context.Background(), series, dtw, ann.Config{Candidates: 8, Seed: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/corpus"
@@ -30,10 +31,11 @@ import (
 // MatrixCtx computes the dissimilarity matrix E with E[i][j] =
 // d(queries[i], refs[j]). Rows are computed in parallel across all CPUs.
 // NaN distances are sanitized to +Inf so undefined measures rank last.
-// When the measure implements measure.Stateful, each series is prepared
-// exactly once — or served from snap for whichever side (queries, refs, or
-// both) it covers; when it is exactly symmetric and the matrix is square
-// over the same series, only the upper triangle is computed and mirrored.
+// Cells run the measure's measure.Plan cascade without a cutoff: when the
+// plan prepares, each series is prepared exactly once — or served from
+// snap for whichever side (queries, refs, or both) it covers; when the
+// measure is exactly symmetric and the matrix is square over the same
+// series, only the upper triangle is computed and mirrored.
 // Cancellation is observed at the row-chunk (or engine tile) granularity
 // of internal/par: on a non-nil error the returned matrix is partially
 // filled and must be discarded.
@@ -106,31 +108,26 @@ func MatrixCtx(ctx context.Context, m measure.Measure, queries, refs [][]float64
 		}
 	}
 
-	// Resolve the per-cell kernel once, outside the row loops: the Stateful
-	// fast path binds prepared states, and the plain path binds the Distance
-	// method value so neither the type switch nor the interface lookup runs
-	// per cell.
-	var dist func(i, j int) float64
-	if sm, ok := m.(measure.Stateful); ok {
-		pq, err := preparedFor(ctx, sm, queries, snap)
-		if err != nil {
+	// With an infinite cutoff the cascade is prepared or plain Distance, so
+	// state is built only for a preparing plan, never bound contexts.
+	plan := measure.NewPlan(m)
+	var sq, sr measure.RefState
+	if plan.Prepared() {
+		var err error
+		if sq, err = plan.RefState(ctx, queries, snap.RefState(m, queries)); err != nil {
 			return e, err
 		}
-		pr := pq
+		sr = sq
 		if !sameSeries(queries, refs) {
-			if pr, err = preparedFor(ctx, sm, refs, snap); err != nil {
+			if sr, err = plan.RefState(ctx, refs, snap.RefState(m, refs)); err != nil {
 				return e, err
 			}
 		}
-		pdist := sm.PreparedDistance
-		dist = func(i, j int) float64 {
-			return measure.Sanitize(pdist(pq[i], pr[j]))
-		}
-	} else {
-		mdist := m.Distance
-		dist = func(i, j int) float64 {
-			return measure.Sanitize(mdist(queries[i], refs[j]))
-		}
+	}
+	inf := math.Inf(1)
+	dist := func(i, j int) float64 {
+		d, _ := plan.Pair(queries[i], sq.At(i), refs[j], sr.At(j), inf)
+		return d
 	}
 
 	if measure.IsSymmetric(m) && sameSeries(queries, refs) {
@@ -182,19 +179,6 @@ func sameSeries(a, b [][]float64) bool {
 		}
 	}
 	return true
-}
-
-// preparedFor serves one side's prepared states from the snapshot when it
-// covers those series and holds (or can specialize) state for sm, falling
-// back to inline preparation — the states are interchangeable bitwise by
-// the Stateful/GridStateful contracts.
-func preparedFor(ctx context.Context, sm measure.Stateful, series [][]float64, snap *corpus.Snapshot) ([]any, error) {
-	have, err := snap.RefState(ctx, sm, series, true)
-	if err != nil {
-		return nil, err
-	}
-	st, err := measure.BuildRefState(ctx, sm, series, have)
-	return st.Prep, err
 }
 
 // Neighbors returns the argmin of every row of E: the nearest reference
@@ -288,14 +272,14 @@ type Grid struct {
 
 // TuneSupervisedCtx returns the grid candidate maximizing leave-one-out
 // accuracy on the training split, that accuracy, and the engine's sweep
-// statistics (preparation sharing, warm-start pruning, wave structure).
+// statistics (state preparation, warm-start pruning, wave structure).
 // The whole grid is scored in one pass of the tuning engine
-// (search.TuneIndex), which shares per-series preparation across
-// candidates and warm-starts nested candidates from each other's results;
-// the selection — including the grid-order tie-break — is identical to
-// running each candidate independently. A snapshot covering train feeds
-// the engine per-series state, and GridStats.PrepSnapshot reports how
-// many states it served. On a non-nil error the selection is meaningless
+// (search.TuneIndex), which reuses bound contexts across candidates and
+// warm-starts nested candidates from each other's results; the selection
+// — including the grid-order tie-break — is identical to running each
+// candidate independently. A snapshot covering train feeds the engine
+// per-series state, and GridStats.PrepShared reports how many states it
+// served. On a non-nil error the selection is meaningless
 // (the sweep stopped mid-grid) and only the error should be consulted. It
 // panics on an empty grid.
 func TuneSupervisedCtx(ctx context.Context, g Grid, train [][]float64, labels []int, snap *corpus.Snapshot) (measure.Measure, float64, search.GridStats, error) {

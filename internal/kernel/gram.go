@@ -26,8 +26,8 @@ type gramScratch struct {
 
 // GramEngine computes all-pairs SINK kernel values over a fixed set of
 // equal-length series. It prepares one padded FFT spectrum, norm, and self
-// cross-correlation per series once (the same candidate-independent core
-// as SINK.GridPrepare), then fills matrices in parallel cache-blocked
+// cross-correlation per series once (the gamma-independent part of
+// SINK.Prepare), then fills matrices in parallel cache-blocked
 // tiles, spending one pointwise spectrum product + one inverse FFT + one
 // sumExp per pair — where the naive per-pair build pays two forward and
 // three inverse transforms plus three sumExp passes for every entry.
@@ -79,7 +79,7 @@ func NewGramEngineCtx(ctx context.Context, s SINK, series [][]float64) (*GramEng
 	e.norms = make([]float64, e.n)
 	e.ccSelf = make([][]float64, e.n)
 	e.self = make([]float64, e.n)
-	// The per-series core is the bitwise computation of SINK.GridPrepare
+	// The per-series core is the bitwise computation of SINK.Prepare
 	// (norm accumulation order included), parallelized across series.
 	if err := par.ForCtx(ctx, e.n, par.Workers(e.n), func(i int) {
 		x := series[i]
@@ -102,8 +102,7 @@ func (e *GramEngine) Len() int { return e.n }
 
 // SetGamma re-targets the engine at a different SINK gamma, re-deriving
 // only the gamma-dependent self-kernels from the cached gamma-independent
-// cores — the CandidateState specialization of the grid machinery, applied
-// in place. FFT spectra and self cross-correlations are reused as-is.
+// cores, in place. FFT spectra and self cross-correlations are reused as-is.
 func (e *GramEngine) SetGamma(gamma float64) {
 	e.sink.Gamma = gamma
 	par.For(e.n, par.Workers(e.n), func(i int) {
@@ -254,8 +253,8 @@ func (e *GramEngine) GramCtx(ctx context.Context) (*linalg.Matrix, error) {
 	return g, err
 }
 
-// PreparedStates returns per-series prepared SINK states equivalent —
-// bitwise, by the GridStateful contract — to SINK.Prepare on each series,
+// PreparedStates returns per-series prepared SINK states bitwise
+// equivalent to SINK.Prepare on each series (same norm, plan and sumExp),
 // so fitted embeddings can keep projecting queries against landmarks
 // through PreparedDistance without re-deriving any spectra.
 func (e *GramEngine) PreparedStates() []any {

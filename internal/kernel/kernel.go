@@ -97,45 +97,6 @@ func (s SINK) PreparedDistance(px, py any) float64 {
 	return normalized(kxy, a.self, b.self)
 }
 
-// sinkGridState is the candidate-independent core of SINK's preparation:
-// the FFT plan, the series norm, and the self cross-correlation sequence.
-// Every gamma candidate derives its prepared state from it by one pass of
-// exponentials instead of repeating the two FFT transforms.
-type sinkGridState struct {
-	plan   *fft.Plan
-	norm   float64
-	ccSelf []float64
-}
-
-// SharesPreparation implements measure.GridStateful: grid state is valid
-// for any SINK gamma.
-func (s SINK) SharesPreparation(other measure.Measure) bool {
-	_, ok := other.(SINK)
-	return ok
-}
-
-// GridPrepare implements measure.GridStateful: the gamma-independent FFT
-// work of Prepare, computed once per series for a whole gamma sweep.
-func (s SINK) GridPrepare(x []float64) any {
-	var ss float64
-	for _, v := range x {
-		ss += v * v
-	}
-	g := &sinkGridState{norm: math.Sqrt(ss)}
-	g.plan = fft.NewPlan(x)
-	g.ccSelf = g.plan.CrossCorrelateWith(g.plan)
-	return g
-}
-
-// CandidateState implements measure.GridStateful: specializing shared grid
-// state to this gamma runs the same sumExp over the same self
-// cross-correlation Prepare would compute, so the resulting state is
-// bitwise interchangeable with Prepare's.
-func (s SINK) CandidateState(shared any) any {
-	g := shared.(*sinkGridState)
-	return &sinkPrepared{plan: g.plan, norm: g.norm, self: s.sumExp(g.ccSelf, g.norm*g.norm)}
-}
-
 // sumExp evaluates sum_w exp(gamma * cc_w / den) with a zero-denominator
 // guard (zero series: every coefficient defined as 0).
 func (s SINK) sumExp(cc []float64, den float64) float64 {

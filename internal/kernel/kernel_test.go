@@ -376,29 +376,3 @@ func TestAblationGAKLogSpaceVsNaive(t *testing.T) {
 		t.Fatalf("log-space GAK not finite on long series: %g", v)
 	}
 }
-
-// TestSINKGridStateBitwise checks the measure.GridStateful contract for
-// SINK: for every gamma in the Table 4 sweep, candidate state derived from
-// shared grid state must produce bitwise-identical distances to the plain
-// Prepare path — the property the grid tuning engine's exactness rests on.
-func TestSINKGridStateBitwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	x := randSeries(rng, 57)
-	y := randSeries(rng, 57)
-	gx := SINK{}.GridPrepare(x)
-	gy := SINK{}.GridPrepare(y)
-	for gamma := 1.0; gamma <= 20; gamma++ {
-		s := SINK{Gamma: gamma}
-		direct := s.PreparedDistance(s.Prepare(x), s.Prepare(y))
-		shared := s.PreparedDistance(s.CandidateState(gx), s.CandidateState(gy))
-		if math.Float64bits(direct) != math.Float64bits(shared) {
-			t.Fatalf("gamma %g: direct %v shared %v not bitwise equal", gamma, direct, shared)
-		}
-		if !s.SharesPreparation(SINK{Gamma: gamma + 1}) {
-			t.Fatalf("gamma %g: must share preparation with other SINK gammas", gamma)
-		}
-		if s.SharesPreparation(RBF{Gamma: gamma}) {
-			t.Fatalf("gamma %g: must not share preparation with RBF", gamma)
-		}
-	}
-}

@@ -166,40 +166,6 @@ type PanelEvaluator interface {
 	PanelDistancesUpTo(q []float64, panel [][]float64, cutoff float64, out []float64) bool
 }
 
-// PreparationSharing is an optional declaration for Stateful measures whose
-// Prepare output does not depend on the measure's parameters within a
-// family: SharesPreparation(other) reports that state prepared by other can
-// be passed verbatim to this measure's PreparedDistance. The grid tuning
-// engine (internal/search) uses it to prepare each series once for a whole
-// parameter sweep instead of once per candidate.
-type PreparationSharing interface {
-	Stateful
-	// SharesPreparation reports whether other's prepared (or grid-prepared)
-	// per-series state is valid for this measure.
-	SharesPreparation(other Measure) bool
-}
-
-// GridStateful extends preparation sharing to families whose full Prepare
-// state is candidate-dependent but built around an expensive
-// candidate-independent core (an FFT spectrum, a self cross-correlation, a
-// norm). GridPrepare computes the shared core once per series;
-// CandidateState cheaply specializes it into this candidate's Stateful
-// prepared state (the input of PreparedDistance). The contract is bitwise:
-// CandidateState(GridPrepare(x)) must yield PreparedDistance results
-// identical to Prepare(x), so the grid engine stays exact.
-type GridStateful interface {
-	Stateful
-	// SharesPreparation reports whether other's GridPrepare state is valid
-	// for this measure's CandidateState.
-	SharesPreparation(other Measure) bool
-	// GridPrepare computes candidate-independent per-series state shared by
-	// every candidate satisfying SharesPreparation.
-	GridPrepare(x []float64) any
-	// CandidateState specializes shared grid state into this candidate's
-	// prepared state, bitwise equivalent to Prepare on the same series.
-	CandidateState(shared any) any
-}
-
 // NestedBounds declares grid monotonicity: DominatedBy(other) reports that
 // Distance(x, y) <= other.Distance(x, y) for every finite input pair —
 // e.g. DTW under a wider Sakoe-Chiba band minimizes over a superset of
@@ -230,46 +196,145 @@ type BoundSharing interface {
 	RebindBoundContext(c BoundContext, x []float64) BoundContext
 }
 
-// RefState is the per-reference state an engine prepares once for
-// repeated queries under one measure: filled bound contexts when the
-// measure is LowerBounded, otherwise Prepare outputs when it is Stateful.
-// At most one slice is non-nil, and a non-nil slice holds one entry per
-// reference series.
-type RefState struct {
-	Bounds []BoundContext
-	Prep   []any
+// State is one series' prepared side of the pair cascade under a Plan:
+// its filled bound context when the plan is bounded, its Prepare output
+// when the plan is stateful, and the zero State otherwise.
+type State struct {
+	Bound BoundContext
+	Prep  any
 }
 
-// BuildRefState returns m's per-reference state over series, adopting
-// have's slice for m's capability when it is non-nil (e.g. a corpus
-// snapshot's, which must then be treated as read-only) and otherwise
-// filling one in parallel under ctx. Measures that are neither
-// LowerBounded nor Stateful need no state and get the zero RefState.
-func BuildRefState(ctx context.Context, m Measure, series [][]float64, have RefState) (RefState, error) {
+// RefState is the per-reference state an engine prepares once for
+// repeated queries under one measure: one State per reference series, or
+// nil when the measure needs none.
+type RefState []State
+
+// At returns reference i's State, the zero State when s is nil.
+func (s RefState) At(i int) State {
+	if s == nil {
+		return State{}
+	}
+	return s[i]
+}
+
+// Outcome reports how the pair cascade settled one pair.
+type Outcome uint8
+
+const (
+	// Computed: the distance was computed in full and is exact.
+	Computed Outcome = iota
+	// Pruned: the lower bound reached the cutoff; no distance was computed
+	// and the returned value is that bound.
+	Pruned
+	// Abandoned: the computation stopped at the cutoff; the returned value
+	// only certifies d >= cutoff.
+	Abandoned
+)
+
+// Plan is the one capability dispatch of the pair engines: it resolves a
+// measure's LowerBounded, EarlyAbandoning and Stateful fast paths once,
+// builds the per-series State they need, and runs the pair cascade —
+// lower bound, then early abandon, then prepared, then plain Distance. A
+// measure is treated as stateful only when it is not LowerBounded: the
+// bound cascade outranks preparation, and each series carries one kind of
+// state. A Plan holds no per-series data and is safe for concurrent use.
+type Plan struct {
+	m  Measure
+	lb LowerBounded
+	ea EarlyAbandoning
+	sm Stateful
+}
+
+// NewPlan resolves m's capabilities.
+func NewPlan(m Measure) Plan {
+	p := Plan{m: m}
+	p.lb, _ = m.(LowerBounded)
+	p.ea, _ = m.(EarlyAbandoning)
+	if p.lb == nil {
+		p.sm, _ = m.(Stateful)
+	}
+	return p
+}
+
+// Measure returns the planned measure.
+func (p *Plan) Measure() Measure { return p.m }
+
+// Bounded reports whether the cascade runs lower bounds.
+func (p *Plan) Bounded() bool { return p.lb != nil }
+
+// Prepared reports whether pairs are evaluated from prepared states.
+func (p *Plan) Prepared() bool { return p.sm != nil }
+
+// Prunes reports whether a finite cutoff can skip work: through lower
+// bounds or early abandoning.
+func (p *Plan) Prunes() bool { return p.lb != nil || p.ea != nil }
+
+// NewState allocates an empty State for series of length n: a fresh bound
+// context for a bounded plan, the zero State otherwise.
+func (p *Plan) NewState(n int) State {
+	if p.lb != nil {
+		return State{Bound: p.lb.NewBoundContext(n)}
+	}
+	return State{}
+}
+
+// Fill loads x into s and returns it: a bounded plan refills s's bound
+// context in place, a stateful plan prepares x.
+func (p *Plan) Fill(s State, x []float64) State {
+	switch {
+	case p.lb != nil:
+		s.Bound.Fill(x)
+	case p.sm != nil:
+		s.Prep = p.sm.Prepare(x)
+	}
+	return s
+}
+
+// RefState returns the plan's per-reference state over series, adopting
+// have when it is non-nil (e.g. a corpus snapshot's, which must then be
+// treated as read-only) and otherwise filling one in parallel under ctx.
+// Plans that are neither bounded nor stateful need no state and return
+// nil.
+func (p *Plan) RefState(ctx context.Context, series [][]float64, have RefState) (RefState, error) {
+	if p.lb == nil && p.sm == nil {
+		return nil, nil
+	}
+	if have != nil {
+		return have, nil
+	}
 	n := len(series)
-	if lb, ok := m.(LowerBounded); ok {
-		if have.Bounds != nil {
-			return RefState{Bounds: have.Bounds}, nil
+	st := make(RefState, n)
+	err := par.ForCtx(ctx, n, par.Workers(n), func(i int) {
+		st[i] = p.Fill(p.NewState(len(series[i])), series[i])
+	})
+	return st, err
+}
+
+// Pair evaluates the sanitized distance of x and y, whose States are sx
+// and sy, under cutoff (+Inf for none). A finite cutoff first runs the
+// lower bound, then early abandoning; otherwise, and for measures without
+// those paths, the distance comes from the prepared states or from plain
+// Distance. A Computed value is exact; a Pruned or Abandoned one is only
+// known to be >= cutoff and never beats it.
+func (p *Plan) Pair(x []float64, sx State, y []float64, sy State, cutoff float64) (float64, Outcome) {
+	if cutoff < math.Inf(1) {
+		if p.lb != nil {
+			if lbv := p.lb.LowerBound(x, y, sx.Bound, sy.Bound, cutoff); lbv >= cutoff {
+				return lbv, Pruned
+			}
 		}
-		st := RefState{Bounds: make([]BoundContext, n)}
-		err := par.ForCtx(ctx, n, par.Workers(n), func(i int) {
-			c := lb.NewBoundContext(len(series[i]))
-			c.Fill(series[i])
-			st.Bounds[i] = c
-		})
-		return st, err
-	}
-	if sm, ok := m.(Stateful); ok {
-		if have.Prep != nil {
-			return RefState{Prep: have.Prep}, nil
+		if p.ea != nil {
+			d := Sanitize(p.ea.DistanceUpTo(x, y, cutoff))
+			if d < cutoff {
+				return d, Computed
+			}
+			return d, Abandoned
 		}
-		st := RefState{Prep: make([]any, n)}
-		err := par.ForCtx(ctx, n, par.Workers(n), func(i int) {
-			st.Prep[i] = sm.Prepare(series[i])
-		})
-		return st, err
 	}
-	return RefState{}, nil
+	if p.sm != nil {
+		return Sanitize(p.sm.PreparedDistance(sx.Prep, sy.Prep)), Computed
+	}
+	return Sanitize(p.m.Distance(x, y)), Computed
 }
 
 // Func adapts a plain function to the Measure interface.

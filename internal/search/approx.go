@@ -51,21 +51,21 @@ type ApproxResult struct {
 // references (k = 1 gives 1-NN); for k > 1, Neighbors[i] holds query i's
 // top-k sorted by (exact distance, index), and Indices/Distances mirror
 // the rank-1 entries. A snapshot covering refs serves its fitted ANN index
-// for m — the warm path: queries pay only transform + tree descent + c
-// exact re-ranks. Otherwise the index is built inline, adopting whatever
-// exact-side state (bound contexts, prepared states) a covering snapshot
-// holds. The build and the query fan-out both observe ctx.
+// for m when that index was built with exactly cfg — the warm path:
+// queries pay only transform + tree descent + c exact re-ranks. Otherwise
+// the index is built inline under cfg, adopting whatever exact-side state
+// a covering snapshot holds for m. The build and the query fan-out both
+// observe ctx.
 func KNNApproxCtx(ctx context.Context, m measure.Measure, queries, refs [][]float64, k int, cfg ann.Config, snap *corpus.Snapshot) (ApproxResult, error) {
 	var ix *ann.Index
 	if snap.Covers(refs) {
-		ix = snap.ANNIndex(m)
+		if six := snap.ANNIndex(m); six != nil && six.Config() == cfg {
+			ix = six
+		}
 	}
 	if ix == nil {
-		have, err := snap.RefState(ctx, m, refs, true)
-		if err != nil {
-			return ApproxResult{}, err
-		}
-		if ix, err = ann.BuildCtx(ctx, refs, m, cfg, have); err != nil {
+		var err error
+		if ix, err = ann.BuildCtx(ctx, refs, m, cfg, snap.RefState(m, refs)); err != nil {
 			return ApproxResult{}, err
 		}
 	}

@@ -154,6 +154,34 @@ func TestKNNApproxAdoptsSnapshotState(t *testing.T) {
 	}
 }
 
+// TestKNNApproxHonorsConfig checks that a covering snapshot's ANN index
+// is served only for the configuration it was built with: a snapshot
+// built with the default config, queried with a budget covering the
+// corpus, must answer through the exact fallback rather than the
+// snapshot's default-budget index — and, with the snapshot's bound
+// contexts adopted, exactly as the snapshot-free run.
+func TestKNNApproxHonorsConfig(t *testing.T) {
+	refs, queries := approxData(t, 96, 8)
+	m := elastic.DTW{DeltaPercent: 10}
+	snap := buildSnapshot(refs, corpus.Options{
+		Measures: []measure.Measure{m},
+		ANN:      []corpus.ANNSpec{{Measure: m}},
+	})
+	cfg := ann.Config{Candidates: len(refs)}
+	got := knnApprox(m, queries, refs, 1, cfg, snap)
+	if got.Stats.Fallbacks != int64(len(queries)) {
+		t.Fatalf("%d of %d queries took the exact fallback; the snapshot's default-config index was served",
+			got.Stats.Fallbacks, len(queries))
+	}
+	want := oneNN(m, queries, refs, nil)
+	for i := range queries {
+		if got.Indices[i] != want.Indices[i] || got.Distances[i] != want.Distances[i] {
+			t.Fatalf("query %d: (%d, %g), exact (%d, %g)",
+				i, got.Indices[i], got.Distances[i], want.Indices[i], want.Distances[i])
+		}
+	}
+}
+
 // TestOneNNApproxCancellation checks both the build and the query
 // fan-out observe the context.
 func TestOneNNApproxCancellation(t *testing.T) {

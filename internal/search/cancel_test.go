@@ -13,18 +13,23 @@ import (
 
 // cancellingMeasure counts Distance calls and cancels the run's context
 // once the count reaches trigger, letting tests observe how much work runs
-// after cancellation.
+// after cancellation. With done set (the context's Done channel), calls
+// past the trigger block until cancellation is visible, so a worker
+// stalled inside cancel() cannot let the others finish the whole run.
 type cancellingMeasure struct {
 	calls   *atomic.Int64
 	trigger int64
 	cancel  context.CancelFunc
+	done    <-chan struct{}
 }
 
 func (c cancellingMeasure) Name() string { return "cancelling" }
 
 func (c cancellingMeasure) Distance(x, y []float64) float64 {
-	if c.calls.Add(1) == c.trigger {
+	if n := c.calls.Add(1); n == c.trigger {
 		c.cancel()
+	} else if c.done != nil && n > c.trigger {
+		<-c.done
 	}
 	s := 0.0
 	for i := range x {
@@ -67,11 +72,10 @@ func TestLeaveOneOutGridCtxCancelsPromptly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var calls atomic.Int64
-	cands := []measure.Measure{
-		cancellingMeasure{calls: &calls, trigger: 5, cancel: cancel},
-		cancellingMeasure{calls: &calls, trigger: -1, cancel: func() {}},
-		cancellingMeasure{calls: &calls, trigger: -1, cancel: func() {}},
-	}
+	// The candidates share one call counter, so whichever makes the fifth
+	// call cancels and every later call waits for it.
+	m := cancellingMeasure{calls: &calls, trigger: 5, cancel: cancel, done: ctx.Done()}
+	cands := []measure.Measure{m, m, m}
 	_, err := search.NewTuneIndex(cands, train, nil).EvaluateCtx(ctx)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -90,7 +94,7 @@ func TestLeaveOneOutCtxCancelsPromptly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var calls atomic.Int64
-	m := cancellingMeasure{calls: &calls, trigger: 5, cancel: cancel}
+	m := cancellingMeasure{calls: &calls, trigger: 5, cancel: cancel, done: ctx.Done()}
 	ix, err := search.NewIndexCtx(ctx, m, train)
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"sync"
-
 	"time"
 
 	"repro/internal/corpus"
@@ -14,15 +13,14 @@ import (
 
 // This file implements the grid tuning engine: leave-one-out 1-NN
 // evaluation of an entire parameter grid in one pass, instead of one
-// independent leave-one-out search per candidate. Three optimizations stack:
+// independent leave-one-out search per candidate. Every pair runs the
+// candidate's measure.Plan cascade, exactly as Index.LeaveOneOutCtx does;
+// three optimizations stack around it:
 //
-//  1. Shared preparation. Candidates declaring measure.GridStateful (or
-//     measure.PreparationSharing) form families whose per-series state is
-//     computed once for the whole sweep — e.g. one FFT spectrum and self
-//     cross-correlation per series across all SINK gammas. Candidates
-//     declaring measure.BoundSharing (DTW bands) rebind one arena of
-//     envelope buffers across the sweep instead of allocating per
-//     candidate.
+//  1. Bound-context reuse. Candidates declaring measure.BoundSharing (DTW
+//     bands) rebind one arena of envelope buffers across the sweep instead
+//     of allocating per candidate, and a covering snapshot serves the
+//     state it holds for a candidate outright.
 //
 //  2. Warm-start pruning. Candidates declaring measure.NestedBounds are
 //     linked to a dominating candidate evaluated earlier (e.g. the
@@ -56,25 +54,15 @@ import (
 // GridStats counts the work of a grid evaluation beyond the per-pair
 // counters of Stats.
 type GridStats struct {
-	Candidates   int   // grid candidates evaluated
-	Waves        int   // warm-start dependency depth of the schedule
-	Rows         int64 // leave-one-out rows evaluated (candidates x series)
-	WarmRows     int64 // rows primed with a finite warm-start cutoff
-	Repaired     int64 // warm rows re-scanned cold (unachievable bound)
-	PrepTotal    int64 // per-series preparations a per-candidate loop runs
-	PrepShared   int64 // of those, served by a family-shared preparation
-	PrepSnapshot int64 // per-series states served by a corpus snapshot
-	Search       Stats // pair counters over the whole sweep
-	WarmSearch   Stats // pair counters restricted to warm-primed candidates
-}
-
-// SharedPrepRate is the fraction of per-series preparations served by a
-// family-shared preparation (0 when the grid has no stateful candidates).
-func (g GridStats) SharedPrepRate() float64 {
-	if g.PrepTotal == 0 {
-		return 0
-	}
-	return float64(g.PrepShared) / float64(g.PrepTotal)
+	Candidates int   // grid candidates evaluated
+	Waves      int   // warm-start dependency depth of the schedule
+	Rows       int64 // leave-one-out rows evaluated (candidates x series)
+	WarmRows   int64 // rows primed with a finite warm-start cutoff
+	Repaired   int64 // warm rows re-scanned cold (unachievable bound)
+	PrepTotal  int64 // per-series states the sweep needs (bound contexts or preparations)
+	PrepShared int64 // of those, served by a covering corpus snapshot
+	Search     Stats // pair counters over the whole sweep
+	WarmSearch Stats // pair counters restricted to warm-primed candidates
 }
 
 // WarmPruneRate is the fraction of candidate pairs in warm-primed
@@ -96,51 +84,44 @@ type GridResult struct {
 }
 
 // TuneIndex holds a parameter grid prepared for one-pass leave-one-out
-// evaluation over a fixed training set: warm-start links between nested
-// candidates, preparation-sharing families, and the bound-context arena.
+// evaluation over a fixed training set: each candidate's measure.Plan,
+// warm-start links between nested candidates, and the pair-matrix bottom.
 type TuneIndex struct {
 	cands    []measure.Measure
+	plans    []measure.Plan
 	train    [][]float64
-	warmFrom []int // dominating candidate whose results prime this one, or -1
-	depth    []int // warm-start chain depth (wave number)
-	families []gridFamily
-	famOf    []int     // candidate -> index into families, or -1
+	warmFrom []int     // dominating candidate whose results prime this one, or -1
+	depth    []int     // warm-start chain depth (wave number)
 	bottom   int       // pair-matrix candidate (dominated by the covered set), or -1
 	covered  []bool    // candidate k is lower-bounded by the bottom's matrix
 	pairD    []float64 // n*n exact distances of the bottom candidate
 	finite   []bool    // series i contains only finite values
 
-	// snap optionally serves per-series state (family cores, prepared
-	// states, bound contexts, finiteness) instead of computing it inline;
-	// set only when the snapshot covers train. Snapshot state is
-	// read-only: it is never rebound, refilled, or donated to the bound
-	// arena.
+	// snap optionally serves per-series state (prepared states, bound
+	// contexts, finiteness) instead of computing it inline; set only when
+	// the snapshot covers train. Snapshot state is read-only: it is never
+	// rebound, refilled, or donated to the bound arena.
 	snap *corpus.Snapshot
 }
 
-// gridFamily is a preparation-sharing group: candidates whose per-series
-// state derives from one shared computation.
-type gridFamily struct {
-	rep     int // first member, whose declarations anchor the family
-	members int
-	grid    bool // GridStateful (shared core + CandidateState) vs verbatim
-}
-
-// NewTuneIndex analyzes the grid's structure: warm-start links via
-// measure.NestedBounds (each candidate linked to the latest earlier
-// candidate that dominates it — the tightest bound in a
-// monotone-ordered grid), and preparation families via
-// measure.GridStateful / measure.PreparationSharing. A snapshot covering
-// train serves family cores, prepared states, bound contexts and
-// finiteness flags; a nil or non-covering one is ignored.
+// NewTuneIndex analyzes the grid's structure: each candidate's plan, and
+// warm-start links via measure.NestedBounds (each candidate linked to the
+// latest earlier candidate that dominates it — the tightest bound in a
+// monotone-ordered grid). A snapshot covering train serves the per-series
+// state it holds for a candidate and the finiteness flags; a nil or
+// non-covering one is ignored.
 func NewTuneIndex(cands []measure.Measure, train [][]float64, snap *corpus.Snapshot) *TuneIndex {
+	plans := make([]measure.Plan, len(cands))
+	for k, m := range cands {
+		plans[k] = measure.NewPlan(m)
+	}
 	ti := &TuneIndex{
 		cands:    cands,
+		plans:    plans,
 		train:    train,
 		warmFrom: make([]int, len(cands)),
 		depth:    make([]int, len(cands)),
-		famOf:    make([]int, len(cands)),
-		bottom:   findBottom(cands, train),
+		bottom:   findBottom(cands, plans, train),
 		covered:  make([]bool, len(cands)),
 	}
 	if snap.Covers(train) {
@@ -152,17 +133,14 @@ func NewTuneIndex(cands []measure.Measure, train [][]float64, snap *corpus.Snaps
 	}
 	for k, m := range cands {
 		ti.warmFrom[k] = -1
-		ti.famOf[k] = -1
 		if bottomNB != nil && k != ti.bottom {
 			ti.covered[k] = bottomNB.DominatedBy(m)
 		}
 		// A warm link only pays when the candidate can turn a primed cutoff
 		// into skipped work: through the halved path's own cascade, or
 		// through the engine's pair-matrix bound when covered by a bottom.
-		_, ea := m.(measure.EarlyAbandoning)
-		_, lb := m.(measure.LowerBounded)
-		prunable := ea || lb || ti.covered[k]
-		if nb, ok := m.(measure.NestedBounds); ok && k != ti.bottom && prunable && halvedEligible(m) {
+		p := &ti.plans[k]
+		if nb, ok := m.(measure.NestedBounds); ok && k != ti.bottom && (p.Prunes() || ti.covered[k]) && halvedEligible(p) {
 			// The bottom itself is a valid warm source when it dominates k
 			// (its results exist before every wave); DominatedBy rejects it
 			// otherwise, like any non-dominating candidate.
@@ -173,11 +151,6 @@ func NewTuneIndex(cands []measure.Measure, train [][]float64, snap *corpus.Snaps
 					break
 				}
 			}
-		}
-		if gs, ok := m.(measure.GridStateful); ok {
-			ti.joinFamily(k, true, func(rep measure.Measure) bool { return gs.SharesPreparation(rep) })
-		} else if ps, ok := m.(measure.PreparationSharing); ok {
-			ti.joinFamily(k, false, func(rep measure.Measure) bool { return ps.SharesPreparation(rep) })
 		}
 	}
 	return ti
@@ -198,7 +171,7 @@ const maxPairMatrix = 2048
 // timed Distance calls. The probe only picks between exact strategies; a
 // noisy reading costs speed, never correctness. Returns -1 when no bottom
 // beats running the whole grid through the warm path.
-func findBottom(cands []measure.Measure, train [][]float64) int {
+func findBottom(cands []measure.Measure, plans []measure.Plan, train [][]float64) int {
 	n := len(train)
 	if len(cands) < 3 || n < 2 || n > maxPairMatrix {
 		return -1
@@ -209,7 +182,7 @@ func findBottom(cands []measure.Measure, train [][]float64) int {
 	}
 	var cand []nested
 	for k, m := range cands {
-		if nb, ok := m.(measure.NestedBounds); ok && halvedEligible(m) {
+		if nb, ok := m.(measure.NestedBounds); ok && halvedEligible(&plans[k]) {
 			cand = append(cand, nested{k, nb})
 		}
 	}
@@ -257,22 +230,7 @@ func probeDistanceCost(m measure.Measure, x, y []float64) float64 {
 	return best
 }
 
-// joinFamily adds candidate k to the first matching preparation family, or
-// founds a new one.
-func (ti *TuneIndex) joinFamily(k int, grid bool, shares func(rep measure.Measure) bool) {
-	for fi := range ti.families {
-		f := &ti.families[fi]
-		if f.grid == grid && shares(ti.cands[f.rep]) {
-			f.members++
-			ti.famOf[k] = fi
-			return
-		}
-	}
-	ti.families = append(ti.families, gridFamily{rep: k, members: 1, grid: grid})
-	ti.famOf[k] = len(ti.families) - 1
-}
-
-// EvaluateCtx runs the full grid schedule — family preparations, then
+// EvaluateCtx runs the full grid schedule — the bottom's pair matrix, then
 // each warm-start wave through one pooled dispatch — and returns every
 // candidate's leave-one-out 1-NN result. Each per-candidate Result —
 // neighbor indices, distances, and tie-breaks — is bit-identical to
@@ -285,16 +243,6 @@ func (ti *TuneIndex) EvaluateCtx(ctx context.Context) (GridResult, error) {
 	st := &res.Stats
 	st.Candidates = len(ti.cands)
 	n := len(ti.train)
-	for _, m := range ti.cands {
-		if _, ok := m.(measure.Stateful); ok {
-			st.PrepTotal += int64(n)
-		}
-	}
-
-	shared, err := ti.prepareFamilies(ctx, st)
-	if err != nil {
-		return res, err
-	}
 
 	if ti.bottom >= 0 {
 		if ti.snap != nil {
@@ -332,57 +280,11 @@ func (ti *TuneIndex) EvaluateCtx(ctx context.Context) (GridResult, error) {
 
 	arena := &boundArena{}
 	for _, wave := range waves {
-		if err := ti.evaluateWave(ctx, wave, shared, arena, res.PerCandidate, st); err != nil {
+		if err := ti.evaluateWave(ctx, wave, arena, res.PerCandidate, st); err != nil {
 			return res, err
 		}
 	}
 	return res, nil
-}
-
-// prepareFamilies computes the shared per-series state of every family
-// with at least two members (a singleton gains nothing over the plain
-// Stateful path).
-func (ti *TuneIndex) prepareFamilies(ctx context.Context, st *GridStats) (map[int][]any, error) {
-	out := map[int][]any{}
-	n := len(ti.train)
-	for fi, f := range ti.families {
-		if f.members < 2 {
-			continue
-		}
-		// The snapshot's family cores (or verbatim prepared states) replace
-		// the inline computation wholesale: the builder produced them with
-		// the same GridPrepare/Prepare calls this loop would run.
-		if ti.snap != nil {
-			if f.grid {
-				if cores := ti.snap.GridCores(ti.cands[f.rep]); cores != nil {
-					out[fi] = cores
-					st.PrepShared += int64(f.members-1) * int64(n)
-					st.PrepSnapshot += int64(n)
-					continue
-				}
-			} else if prep := ti.snap.Prepared(ti.cands[f.rep]); prep != nil {
-				out[fi] = prep
-				st.PrepShared += int64(f.members-1) * int64(n)
-				st.PrepSnapshot += int64(n)
-				continue
-			}
-		}
-		states := make([]any, n)
-		var err error
-		if f.grid {
-			gs := ti.cands[f.rep].(measure.GridStateful)
-			err = par.ForCtx(ctx, n, par.Workers(n), func(i int) { states[i] = gs.GridPrepare(ti.train[i]) })
-		} else {
-			sm := ti.cands[f.rep].(measure.Stateful)
-			err = par.ForCtx(ctx, n, par.Workers(n), func(i int) { states[i] = sm.Prepare(ti.train[i]) })
-		}
-		if err != nil {
-			return out, err
-		}
-		out[fi] = states
-		st.PrepShared += int64(f.members-1) * int64(n)
-	}
-	return out, nil
 }
 
 // allFinite reports whether every value of x is finite.
@@ -450,8 +352,8 @@ type boundArena struct {
 }
 
 type arenaEntry struct {
-	owner measure.Measure // candidate whose parameters last filled ctxs
-	ctxs  []measure.BoundContext
+	owner measure.Measure // candidate whose parameters last filled st
+	st    measure.RefState
 	inUse bool
 }
 
@@ -482,23 +384,19 @@ func (a *boundArena) checkin(e *arenaEntry, owner measure.Measure, fresh bool) {
 // candEval is one candidate's in-flight state during a wave.
 type candEval struct {
 	k      int // candidate index in the grid
-	m      measure.Measure
+	plan   *measure.Plan
 	halved bool
 	warm   []float64 // exact per-row upper bounds from the warm source
 	pairD  []float64 // n*n exact lower bounds from the bottom candidate
 	finite []bool    // per-series finiteness (pairD precondition)
 	n      int
 
-	// Halved path.
-	lb       measure.LowerBounded
-	ea       measure.EarlyAbandoning
-	ctxs     []measure.BoundContext
-	entry    *arenaEntry // non-nil when ctxs came from the arena
-	bs       measure.BoundSharing
-	snapCtxs bool // ctxs are snapshot-owned: pre-filled, read-only, never arena-donated
+	st    measure.RefState
+	fill  bool        // st still needs its per-series fills
+	entry *arenaEntry // non-nil when st came from the arena
+	bs    measure.BoundSharing
 
-	// Scan path.
-	ix *Index
+	ix *Index // scan path (not halved): the candidate's index over st
 }
 
 // looLocal is one worker's private view of one halved candidate: row
@@ -516,70 +414,60 @@ type looLocal struct {
 // wave's candidates are left as zero Results (partial worker-local scans
 // are never merged — a half-scanned row would not be exact) and the
 // context error is returned.
-func (ti *TuneIndex) evaluateWave(ctx context.Context, wave []int, shared map[int][]any, arena *boundArena, out []Result, st *GridStats) error {
+func (ti *TuneIndex) evaluateWave(ctx context.Context, wave []int, arena *boundArena, out []Result, st *GridStats) error {
 	n := len(ti.train)
 	evals := make([]*candEval, len(wave))
 	for w, k := range wave {
-		ce := &candEval{k: k, m: ti.cands[k], halved: halvedEligible(ti.cands[k]), n: n}
+		p := &ti.plans[k]
+		ce := &candEval{k: k, plan: p, halved: halvedEligible(p), n: n}
 		if src := ti.warmFrom[k]; src >= 0 {
 			ce.warm = out[src].Distances
 		}
 		if ti.pairD != nil && ti.covered[k] {
 			ce.pairD, ce.finite = ti.pairD, ti.finite
 		}
-		ce.lb, _ = ce.m.(measure.LowerBounded)
-		ce.ea, _ = ce.m.(measure.EarlyAbandoning)
-		if ce.halved {
-			if ce.lb != nil {
-				// Snapshot-owned contexts are already filled for this exact
-				// candidate; adopting them skips the setup pool entirely. They
-				// must never enter the arena: a later candidate would rebind
-				// (mutate) them, corrupting the immutable snapshot.
-				if ti.snap != nil {
-					if sctxs := ti.snap.BoundContexts(ce.m); sctxs != nil {
-						ce.ctxs = sctxs
-						ce.snapCtxs = true
-						st.PrepSnapshot += int64(n)
-					}
+		if p.Bounded() || p.Prepared() {
+			st.PrepTotal += int64(n)
+			// Snapshot-owned state is already filled for this exact
+			// candidate; adopting it skips the setup pool entirely. It must
+			// never enter the arena: a later candidate would rebind (mutate)
+			// it, corrupting the immutable snapshot.
+			if ce.st = ti.snap.RefState(ti.cands[k], ti.train); ce.st != nil {
+				st.PrepShared += int64(n)
+			} else {
+				if ce.bs, _ = ti.cands[k].(measure.BoundSharing); ce.bs != nil {
+					ce.entry = arena.checkout(ce.bs)
 				}
-				if !ce.snapCtxs {
-					ce.bs, _ = ce.m.(measure.BoundSharing)
-					if ce.bs != nil {
-						ce.entry = arena.checkout(ce.bs)
-					}
-					if ce.entry != nil {
-						ce.ctxs = ce.entry.ctxs
-					} else {
-						ce.ctxs = make([]measure.BoundContext, n)
-					}
+				if ce.entry != nil {
+					ce.st = ce.entry.st
+				} else {
+					ce.st = make(measure.RefState, n)
 				}
+				ce.fill = true
 			}
-		} else {
-			ce.ix = ti.newScanIndex(ce.m)
-			if ce.ix.prefilled {
-				st.PrepSnapshot += int64(n)
-			}
+		}
+		if !ce.halved {
+			ce.ix = newIndex(ti.cands[k], ti.train)
+			ce.ix.st = ce.st
 			// Pre-size the result so scan workers can write rows directly.
 			out[k] = Result{Indices: make([]int, n), Distances: make([]float64, n)}
 		}
 		evals[w] = ce
 	}
 
-	// Per-series setup pool: bound-context fills for every candidate that
-	// needs them, flattened across the wave. Snapshot-served candidates
-	// need none.
+	// Per-series setup pool: state fills for every candidate that needs
+	// them, flattened across the wave. Snapshot-served candidates need
+	// none.
 	var setupCands []*candEval
 	for _, ce := range evals {
-		if (ce.halved && ce.lb != nil && !ce.snapCtxs) || (ce.ix != nil && ce.ix.needsSetup()) {
+		if ce.fill {
 			setupCands = append(setupCands, ce)
 		}
 	}
 	if len(setupCands) > 0 {
 		total := len(setupCands) * n
 		if err := par.ForCtx(ctx, total, par.Workers(total), func(item int) {
-			ce := setupCands[item/n]
-			i := item % n
-			ce.setupSeries(ti.train, i, shared[ti.famOf[ce.k]])
+			setupCands[item/n].setupSeries(ti.train[item%n], item%n)
 		}); err != nil {
 			return err
 		}
@@ -672,70 +560,22 @@ func (ti *TuneIndex) evaluateWave(ctx context.Context, wave []int, shared map[in
 			}
 		}
 		if ce.entry != nil {
-			arena.checkin(ce.entry, ce.m, false)
-		} else if ce.bs != nil && ce.ctxs != nil && !ce.snapCtxs {
-			arena.checkin(&arenaEntry{ctxs: ce.ctxs}, ce.m, true)
+			arena.checkin(ce.entry, ti.cands[ce.k], false)
+		} else if ce.bs != nil {
+			arena.checkin(&arenaEntry{st: ce.st}, ti.cands[ce.k], true)
 		}
 	}
 	return nil
 }
 
-// newScanIndex builds the Index of a scan-path candidate without its
-// parallel preparation (the wave's setup pool runs it, from family-shared
-// preparations when available), adopting snapshot state — which arrives
-// already filled — when the tune index carries one.
-func (ti *TuneIndex) newScanIndex(m measure.Measure) *Index {
-	ix := newIndex(m, ti.train)
-	// Without specialization the lookup cannot fail: states a family core
-	// would yield are left to the setup pool.
-	have, _ := ti.snap.RefState(context.Background(), m, ti.train, false)
-	ix.rctx, ix.rprep = have.Bounds, have.Prep
-	ix.prefilled = ix.rctx != nil || ix.rprep != nil
-	switch {
-	case ix.prefilled:
-	case ix.lb != nil:
-		ix.rctx = make([]measure.BoundContext, len(ti.train))
-	case ix.sm != nil:
-		ix.rprep = make([]any, len(ti.train))
+// setupSeries fills candidate state for series i: a bound context rebound
+// from the arena, otherwise a fresh state from the candidate's plan.
+func (ce *candEval) setupSeries(x []float64, i int) {
+	if ce.entry != nil {
+		ce.st[i] = measure.State{Bound: ce.bs.RebindBoundContext(ce.st[i].Bound, x)}
+		return
 	}
-	return ix
-}
-
-// needsSetup reports whether the index still requires per-series fills;
-// snapshot-prefilled state needs none (and must not be overwritten).
-func (ix *Index) needsSetup() bool {
-	return !ix.prefilled && (ix.rctx != nil || ix.rprep != nil)
-}
-
-// setupSeries performs candidate setup for series i: a bound-context fill
-// (fresh or rebound) on the halved path, or a context/preparation fill on
-// the scan path — served from the family's shared state when possible.
-func (ce *candEval) setupSeries(train [][]float64, i int, famShared []any) {
-	x := train[i]
-	switch {
-	case ce.halved && ce.lb != nil:
-		if ce.entry != nil {
-			ce.ctxs[i] = ce.bs.RebindBoundContext(ce.ctxs[i], x)
-		} else {
-			c := ce.lb.NewBoundContext(len(x))
-			c.Fill(x)
-			ce.ctxs[i] = c
-		}
-	case ce.ix != nil && ce.ix.rctx != nil:
-		c := ce.ix.lb.NewBoundContext(len(x))
-		c.Fill(x)
-		ce.ix.rctx[i] = c
-	case ce.ix != nil && ce.ix.rprep != nil:
-		if famShared != nil {
-			if gs, ok := ce.m.(measure.GridStateful); ok {
-				ce.ix.rprep[i] = gs.CandidateState(famShared[i])
-			} else {
-				ce.ix.rprep[i] = famShared[i]
-			}
-		} else {
-			ce.ix.rprep[i] = ce.ix.sm.Prepare(x)
-		}
-	}
+	ce.st[i] = ce.plan.Fill(ce.plan.NewState(len(x)), x)
 }
 
 // newLooLocal builds a worker's private incumbent arrays, priming rows
@@ -786,27 +626,19 @@ func (ce *candEval) scanHalvedRows(train [][]float64, l *looLocal, lo, hi int) {
 				cutoff = l.dist[j]
 			}
 			l.stats.Pairs++
-			finite := !math.IsInf(cutoff, 1)
 			// The bottom candidate's exact distance on this pair lower-bounds
 			// ours (NestedBounds, valid on finite series): one array read
 			// prunes without touching envelopes or the DP.
-			if pairRow != nil && finite && ce.finite[j] && pairRow[j] >= cutoff {
+			if pairRow != nil && !math.IsInf(cutoff, 1) && ce.finite[j] && pairRow[j] >= cutoff {
 				l.stats.PairLB++
 				continue
 			}
-			if ce.lb != nil && finite {
-				if lbv := ce.lb.LowerBound(xi, train[j], ce.ctxs[i], ce.ctxs[j], cutoff); lbv >= cutoff {
-					l.stats.LBPruned++
-					continue
-				}
+			d, o := ce.plan.Pair(xi, ce.st.At(i), train[j], ce.st.At(j), cutoff)
+			if o == measure.Pruned {
+				l.stats.LBPruned++
+				continue
 			}
 			l.stats.FullDist++
-			var d float64
-			if ce.ea != nil {
-				d = measure.Sanitize(ce.ea.DistanceUpTo(xi, train[j], cutoff))
-			} else {
-				d = measure.Sanitize(ce.m.Distance(xi, train[j]))
-			}
 			// A primed row records only strict improvements over its cutoff
 			// (always exact); an unprimed row additionally records its first
 			// candidate, whose infinite cutoff makes d exact.
@@ -863,7 +695,7 @@ func (ce *candEval) coldRow(train [][]float64, i int) (int, float64) {
 		if j == i {
 			continue
 		}
-		d := measure.Sanitize(ce.m.Distance(train[i], train[j]))
+		d := measure.Sanitize(ce.plan.Measure().Distance(train[i], train[j]))
 		if best == -1 || d < bestDist {
 			best, bestDist = j, d
 		}

@@ -110,19 +110,21 @@ func TestGridEngineDegenerateInputs(t *testing.T) {
 	}
 }
 
-// TestGridStatsCounters checks that the three optimizations actually
-// engage on the grids built for them: SINK's gamma sweep shares FFT
-// preparation, and the DTW band grid schedules warm-started waves.
+// TestGridStatsCounters checks the sweep counters on the grids built for
+// them: SINK's gamma sweep prepares every series once per candidate
+// (none served without a snapshot), and the DTW band grid schedules
+// warm-started waves.
 func TestGridStatsCounters(t *testing.T) {
 	archive := dataset.GenerateArchive(dataset.ArchiveOptions{
 		Seed: 5, Count: 1, MaxLength: 48, MaxTrain: 16, MaxTest: 4,
 	})
 	train := archive[0].Train
 
-	sink := grid(eval.SINKGrid().Candidates, train, nil).Stats
-	if sink.PrepShared == 0 || sink.SharedPrepRate() < 0.9 {
-		t.Errorf("SINK sweep shared %d/%d preparations, want ~all",
-			sink.PrepShared, sink.PrepTotal)
+	sinkGrid := eval.SINKGrid().Candidates
+	sink := grid(sinkGrid, train, nil).Stats
+	if want := int64(len(sinkGrid) * len(train)); sink.PrepTotal != want || sink.PrepShared != 0 {
+		t.Errorf("SINK sweep needed %d states (%d shared), want %d (0 shared)",
+			sink.PrepTotal, sink.PrepShared, want)
 	}
 
 	dtw := grid(eval.DTWGrid().Candidates, train, nil).Stats
@@ -137,68 +139,6 @@ func TestGridStatsCounters(t *testing.T) {
 	}
 	if dtw.Repaired != 0 {
 		t.Errorf("DTW on finite data repaired %d rows, want 0", dtw.Repaired)
-	}
-}
-
-// sharedPrepFake is a Stateful measure declaring PreparationSharing (the
-// verbatim fallback: no GridPrepare/CandidateState), used to exercise the
-// engine's generic family path. Scale only multiplies the final value, so
-// prepared state (the series itself) is parameter-independent.
-type sharedPrepFake struct {
-	Scale float64
-}
-
-func (f sharedPrepFake) Name() string { return "fake-shared-prep" }
-
-func (f sharedPrepFake) Distance(x, y []float64) float64 {
-	return f.PreparedDistance(f.Prepare(x), f.Prepare(y))
-}
-
-func (f sharedPrepFake) Prepare(x []float64) any { return x }
-
-func (f sharedPrepFake) PreparedDistance(px, py any) float64 {
-	x, y := px.([]float64), py.([]float64)
-	var s float64
-	for i := range x {
-		d := x[i] - y[i]
-		s += d * d
-	}
-	return f.Scale * s
-}
-
-func (f sharedPrepFake) SharesPreparation(other measure.Measure) bool {
-	_, ok := other.(sharedPrepFake)
-	return ok
-}
-
-// TestPreparationSharingFallback drives a grid of PreparationSharing (but
-// not GridStateful) candidates through the engine: the shared Prepare
-// results must be reused verbatim, with results identical to per-candidate
-// evaluation.
-func TestPreparationSharingFallback(t *testing.T) {
-	archive := dataset.GenerateArchive(dataset.ArchiveOptions{
-		Seed: 9, Count: 1, MaxLength: 32, MaxTrain: 12, MaxTest: 4,
-	})
-	train := archive[0].Train
-	cands := []measure.Measure{
-		sharedPrepFake{Scale: 1},
-		sharedPrepFake{Scale: 2},
-		sharedPrepFake{Scale: 0.5},
-	}
-	gr := grid(cands, train, nil)
-	if gr.Stats.PrepShared != int64(2*len(train)) {
-		t.Errorf("shared %d preparations, want %d", gr.Stats.PrepShared, 2*len(train))
-	}
-	for k, cand := range cands {
-		want := leaveOneOut(cand, train, nil)
-		got := gr.PerCandidate[k]
-		for i := range want.Indices {
-			if got.Indices[i] != want.Indices[i] || got.Distances[i] != want.Distances[i] {
-				t.Fatalf("scale %v: row %d got (%d, %v), want (%d, %v)",
-					cand.(sharedPrepFake).Scale, i,
-					got.Indices[i], got.Distances[i], want.Indices[i], want.Distances[i])
-			}
-		}
 	}
 }
 

@@ -4,7 +4,8 @@
 // cutoff, rejecting candidates through the measure's lower-bound cascade
 // (measure.LowerBounded), abandoning surviving distance computations early
 // (measure.EarlyAbandoning), and reusing per-series state
-// (measure.Stateful). For exactly symmetric measures the leave-one-out
+// (measure.Stateful) — one cascade, resolved once per measure by
+// measure.Plan. For exactly symmetric measures the leave-one-out
 // variant evaluates each unordered pair once, halving the train-by-train
 // work of supervised tuning.
 //
@@ -15,9 +16,9 @@
 //
 // Each operation has one context-first entry point taking an optional
 // *corpus.Snapshot. An Index — built only by NewIndexSnapshotCtx — is the
-// plan of exact search: it resolves the measure's capabilities once and
-// holds the per-reference state, adopted from a covering snapshot or built
-// inline, and its OneNNCtx and LeaveOneOutCtx methods run the searches. A
+// plan of exact search: it holds the measure's measure.Plan and the
+// per-reference state, adopted from a covering snapshot or built inline,
+// and its OneNNCtx and LeaveOneOutCtx methods run the searches. A
 // TuneIndex (NewTuneIndex(...).EvaluateCtx) sweeps a whole parameter grid,
 // and KNNApproxCtx runs approximate search. Every entry point observes
 // cancellation at the dispatch chunk granularity of internal/par and
@@ -65,24 +66,15 @@ type Result struct {
 }
 
 // Index is the plan of exact search over one reference set and one
-// measure: the measure's capabilities are resolved once, and lower-bound
-// contexts (envelopes) or stateful preparations are held per reference.
-// An Index is immutable after construction and safe for concurrent use
-// through per-goroutine Queriers.
+// measure: the measure's capabilities are resolved once (measure.Plan),
+// and the per-reference state the cascade needs — lower-bound contexts or
+// stateful preparations — is held alongside. An Index is immutable after
+// construction and safe for concurrent use through per-goroutine Queriers.
 type Index struct {
-	m     measure.Measure
-	refs  [][]float64
-	lb    measure.LowerBounded
-	ea    measure.EarlyAbandoning
-	sm    measure.Stateful
-	pe    measure.PanelEvaluator
-	rctx  []measure.BoundContext
-	rprep []any
-	// prefilled marks a grid scan index's rctx/rprep as adopted from a
-	// corpus.Snapshot: already filled, owned by the snapshot, and strictly
-	// read-only — the grid engine's setup pool must skip them and its
-	// envelope arena must never rebind them.
-	prefilled bool
+	plan measure.Plan
+	refs [][]float64
+	pe   measure.PanelEvaluator
+	st   measure.RefState
 }
 
 // panelChunk is the number of candidates handed to a PanelEvaluator per
@@ -92,17 +84,12 @@ type Index struct {
 const panelChunk = 32
 
 // newIndex resolves m's capabilities over refs, without per-reference
-// state. A LowerBounded measure takes the bound cascade, otherwise a
-// PanelEvaluator the batched panel scan, otherwise a Stateful measure the
-// prepared path, otherwise plain (early-abandoning when available)
-// Distance calls.
+// state. A measure that is not LowerBounded but is a PanelEvaluator takes
+// the batched panel scan; everything else runs the plan's pair cascade.
 func newIndex(m measure.Measure, refs [][]float64) *Index {
-	ix := &Index{m: m, refs: refs}
-	ix.ea, _ = m.(measure.EarlyAbandoning)
-	ix.lb, _ = m.(measure.LowerBounded)
-	if ix.lb == nil {
+	ix := &Index{plan: measure.NewPlan(m), refs: refs}
+	if !ix.plan.Bounded() {
 		ix.pe, _ = m.(measure.PanelEvaluator)
-		ix.sm, _ = m.(measure.Stateful)
 	}
 	return ix
 }
@@ -113,21 +100,16 @@ func NewIndexCtx(ctx context.Context, m measure.Measure, refs [][]float64) (*Ind
 }
 
 // NewIndexSnapshotCtx builds the search plan of refs under m. Per-reference
-// state comes from the snapshot when it covers refs and holds state for m
-// (including states specialized from a GridStateful family core);
+// state comes from the snapshot when it covers refs and holds state for m;
 // otherwise it is computed in parallel. On a non-nil error (cancellation)
 // the index is unusable.
 func NewIndexSnapshotCtx(ctx context.Context, m measure.Measure, refs [][]float64, snap *corpus.Snapshot) (*Index, error) {
 	ix := newIndex(m, refs)
-	have, err := snap.RefState(ctx, m, refs, true)
+	st, err := ix.plan.RefState(ctx, refs, snap.RefState(m, refs))
 	if err != nil {
 		return nil, err
 	}
-	st, err := measure.BuildRefState(ctx, m, refs, have)
-	if err != nil {
-		return nil, err
-	}
-	ix.rctx, ix.rprep = st.Bounds, st.Prep
+	ix.st = st
 	return ix, nil
 }
 
@@ -136,7 +118,7 @@ func NewIndexSnapshotCtx(ctx context.Context, m measure.Measure, refs [][]float6
 // safe for concurrent use; create one per goroutine via Index.Querier.
 type Querier struct {
 	ix   *Index
-	qctx measure.BoundContext
+	qs   measure.State
 	pout []float64 // panel output scratch (PanelEvaluator path)
 	// Stats accumulates the work performed by this Querier's queries.
 	Stats Stats
@@ -145,8 +127,8 @@ type Querier struct {
 // Querier returns a fresh query handle for the index.
 func (ix *Index) Querier() *Querier {
 	q := &Querier{ix: ix}
-	if ix.lb != nil && len(ix.refs) > 0 {
-		q.qctx = ix.lb.NewBoundContext(len(ix.refs[0]))
+	if len(ix.refs) > 0 {
+		q.qs = ix.plan.NewState(len(ix.refs[0]))
 	}
 	if ix.pe != nil {
 		q.pout = make([]float64, panelChunk)
@@ -169,97 +151,73 @@ func (q *Querier) search(x []float64, skip int) (int, float64) {
 	if len(ix.refs) == 0 {
 		return best, bestDist
 	}
-	switch {
-	case ix.pe != nil:
-		// Batched panel scan: candidates are evaluated panelChunk at a time
-		// with the best-so-far at chunk entry as the shared cutoff. Results
-		// stay exact: a non-exact (abandoned) out value is >= the chunk
-		// cutoff >= the current incumbent, so it fails the strict update,
-		// while any candidate that could improve the incumbent has true
-		// distance < the entry cutoff and therefore an exact out value.
-		// Ascending order and strict < reproduce lowest-index tie-breaking.
-		for start := 0; start < len(ix.refs); start += panelChunk {
-			end := start + panelChunk
-			if end > len(ix.refs) {
-				end = len(ix.refs)
-			}
-			chunk := ix.refs[start:end]
-			counted := int64(len(chunk))
-			if skip >= start && skip < end {
-				counted--
-			}
-			q.Stats.Pairs += counted
-			q.Stats.FullDist += counted
-			ok := false
-			if best >= 0 {
-				ok = ix.pe.PanelDistancesUpTo(x, chunk, bestDist, q.pout)
-			} else {
-				ok = ix.pe.PanelDistances(x, chunk, q.pout)
-			}
-			if !ok {
-				// Declined (ragged chunk): per-pair fallback, same results.
-				for j := start; j < end; j++ {
-					if j == skip {
-						continue
-					}
-					var d float64
-					if ix.ea != nil && best >= 0 {
-						d = measure.Sanitize(ix.ea.DistanceUpTo(x, ix.refs[j], bestDist))
-					} else {
-						d = measure.Sanitize(ix.m.Distance(x, ix.refs[j]))
-					}
-					if best == -1 || d < bestDist {
-						best, bestDist = j, d
-					}
-				}
-				continue
-			}
-			for j := start; j < end; j++ {
-				if j == skip {
-					continue
-				}
-				d := measure.Sanitize(q.pout[j-start])
-				if best == -1 || d < bestDist {
-					best, bestDist = j, d
-				}
-			}
+	if ix.pe != nil {
+		return q.searchPanel(x, skip)
+	}
+	// The plan's cascade under the best-so-far cutoff. A pair that is
+	// pruned or abandoned is >= the incumbent, so it fails the strict
+	// update; ascending order and strict < reproduce lowest-index
+	// tie-breaking.
+	qs := ix.plan.Fill(q.qs, x)
+	for j, r := range ix.refs {
+		if j == skip {
+			continue
 		}
-	case ix.sm != nil:
-		px := ix.sm.Prepare(x)
-		for j := range ix.refs {
+		q.Stats.Pairs++
+		d, o := ix.plan.Pair(x, qs, r, ix.st.At(j), bestDist)
+		if o == measure.Pruned {
+			q.Stats.LBPruned++
+			continue
+		}
+		q.Stats.FullDist++
+		if best == -1 || d < bestDist {
+			best, bestDist = j, d
+		}
+	}
+	return best, bestDist
+}
+
+// searchPanel is search through the batched panel engine: candidates are
+// evaluated panelChunk at a time with the best-so-far at chunk entry as
+// the shared cutoff. Results stay exact: a non-exact (abandoned) out value
+// is >= the chunk cutoff >= the current incumbent, so it fails the strict
+// update, while any candidate that could improve the incumbent has true
+// distance < the entry cutoff and therefore an exact out value.
+func (q *Querier) searchPanel(x []float64, skip int) (int, float64) {
+	ix := q.ix
+	best, bestDist := -1, math.Inf(1)
+	for start := 0; start < len(ix.refs); start += panelChunk {
+		end := start + panelChunk
+		if end > len(ix.refs) {
+			end = len(ix.refs)
+		}
+		chunk := ix.refs[start:end]
+		counted := int64(len(chunk))
+		if skip >= start && skip < end {
+			counted--
+		}
+		q.Stats.Pairs += counted
+		q.Stats.FullDist += counted
+		ok := false
+		if best >= 0 {
+			ok = ix.pe.PanelDistancesUpTo(x, chunk, bestDist, q.pout)
+		} else {
+			ok = ix.pe.PanelDistances(x, chunk, q.pout)
+		}
+		var qs measure.State
+		if !ok {
+			qs = ix.plan.Fill(q.qs, x)
+		}
+		for j := start; j < end; j++ {
 			if j == skip {
 				continue
 			}
-			q.Stats.Pairs++
-			q.Stats.FullDist++
-			d := measure.Sanitize(ix.sm.PreparedDistance(px, ix.rprep[j]))
-			if best == -1 || d < bestDist {
-				best, bestDist = j, d
-			}
-		}
-	default:
-		// The cascade: lower bound (LowerBounded measures, once an
-		// incumbent exists), then early-abandoning or plain Distance.
-		if ix.lb != nil {
-			q.qctx.Fill(x)
-		}
-		for j, r := range ix.refs {
-			if j == skip {
-				continue
-			}
-			q.Stats.Pairs++
-			if ix.lb != nil && best >= 0 {
-				if lbv := ix.lb.LowerBound(x, r, q.qctx, ix.rctx[j], bestDist); lbv >= bestDist {
-					q.Stats.LBPruned++
-					continue
-				}
-			}
-			q.Stats.FullDist++
 			var d float64
-			if ix.ea != nil {
-				d = measure.Sanitize(ix.ea.DistanceUpTo(x, r, bestDist))
+			if ok {
+				d = measure.Sanitize(q.pout[j-start])
 			} else {
-				d = measure.Sanitize(ix.m.Distance(x, r))
+				// Declined (ragged chunk): per-pair fallback, same results.
+				d, _ = ix.plan.Pair(x, qs, ix.refs[j], ix.st.At(j), bestDist)
 			}
 			if best == -1 || d < bestDist {
 				best, bestDist = j, d
@@ -323,20 +281,18 @@ func searchAllCtx(ctx context.Context, ix *Index, queries [][]float64, skipDiag 
 // once; results are identical to exhaustive evaluation either way. See the
 // package-level OneNNCtx for the partial-result contract.
 func (ix *Index) LeaveOneOutCtx(ctx context.Context) (Result, error) {
-	if halvedEligible(ix.m) {
+	if halvedEligible(&ix.plan) {
 		return ix.looHalvedCtx(ctx)
 	}
 	return searchAllCtx(ctx, ix, ix.refs, true)
 }
 
-// halvedEligible reports whether leave-one-out evaluation of m takes the
-// symmetric pair-halving path: exactly symmetric, and either lower-bounded
-// (the cascade needs per-pair cutoffs) or not stateful (whose prepared fast
-// path the full scan exploits better than halving would).
-func halvedEligible(m measure.Measure) bool {
-	_, stateful := m.(measure.Stateful)
-	_, bounded := m.(measure.LowerBounded)
-	return measure.IsSymmetric(m) && (bounded || !stateful)
+// halvedEligible reports whether leave-one-out evaluation under p takes
+// the symmetric pair-halving path: exactly symmetric and not evaluated from
+// prepared states (whose fast path the full scan exploits better than
+// halving would; lower-bounded measures always qualify).
+func halvedEligible(p *measure.Plan) bool {
+	return measure.IsSymmetric(p.Measure()) && !p.Prepared()
 }
 
 // looHalvedCtx evaluates each unordered pair of indexed series once, the
@@ -351,7 +307,7 @@ func halvedEligible(m measure.Measure) bool {
 // reproduces exhaustive first-lowest-index tie-breaking exactly.
 func (ix *Index) looHalvedCtx(ctx context.Context) (Result, error) {
 	n := len(ix.refs)
-	ce := &candEval{m: ix.m, lb: ix.lb, ea: ix.ea, ctxs: ix.rctx}
+	ce := &candEval{plan: &ix.plan, st: ix.st}
 	workers := par.Workers(n)
 	locals := make([][]*looLocal, workers)
 	err := par.ForShardCtx(ctx, n, workers, func(w, i int) {

@@ -6,11 +6,13 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/ann"
 	"repro/internal/corpus"
 	"repro/internal/dataset"
 	"repro/internal/elastic"
 	"repro/internal/eval"
 	"repro/internal/kernel"
+	"repro/internal/lockstep"
 	"repro/internal/measure"
 	"repro/internal/search"
 )
@@ -91,12 +93,15 @@ func TestGridSnapshotMatchesInline(t *testing.T) {
 // TestOneNNSnapshotMatchesInline covers the index plan's two operations,
 // Index.OneNNCtx and Index.LeaveOneOutCtx, over nil, covering and
 // non-covering snapshots for the engine shapes: lower-bounded (DTW, halved
-// leave-one-out), plain symmetric (ERP, halved without bounds), grid
-// stateful (SINK, scan leave-one-out), and plain stateful (GAK, scan).
-// Every route must return bitwise-identical neighbors, distances and work
-// counters; only a covering snapshot may serve state. The halved path's
-// counters depend on which worker scans which rows, so they are compared
-// on the single-worker run, where the schedule is fixed.
+// leave-one-out), plain symmetric (ERP, halved without bounds), stateful
+// (SINK and GAK, scan leave-one-out), and panel plus early abandon
+// (Lorentzian). Every route must return bitwise-identical neighbors,
+// distances and work counters; only a covering snapshot may serve state.
+// The halved path's counters depend on which worker scans which rows, so
+// they are compared on the single-worker run, where the schedule is fixed.
+// The other measure.Plan routes are pinned against the same answers: the
+// ANN re-rank with a budget covering the corpus (the exact fallback) and
+// the row argmin of the exhaustive eval.MatrixCtx.
 func TestOneNNSnapshotMatchesInline(t *testing.T) {
 	ctx := context.Background()
 	archive := dataset.GenerateArchive(dataset.ArchiveOptions{
@@ -109,10 +114,11 @@ func TestOneNNSnapshotMatchesInline(t *testing.T) {
 		elastic.ERP{G: 0},
 		kernel.SINK{Gamma: 5},
 		kernel.GAK{Sigma: 1},
+		lockstep.Lorentzian(),
 	} {
-		_, lb := m.(measure.LowerBounded)
-		_, sm := m.(measure.Stateful)
-		halved := measure.IsSymmetric(m) && (lb || !sm)
+		plan := measure.NewPlan(m)
+		lb, sm := plan.Bounded(), plan.Prepared()
+		halved := measure.IsSymmetric(m) && !sm
 		for _, d := range archive {
 			foreignTrain := make([][]float64, len(d.Train))
 			for i := range d.Train {
@@ -150,6 +156,23 @@ func TestOneNNSnapshotMatchesInline(t *testing.T) {
 						t.Fatalf("%s on %s, %d procs: %s snapshot leave-one-out %+v, inline %+v",
 							m.Name(), d.Name, p, tc.name, gotL, wantL)
 					}
+				}
+				approx := knnApprox(m, d.Test, d.Train, 1, ann.Config{Candidates: len(d.Train)}, nil)
+				if !sameSearch(search.Result{Indices: approx.Indices, Distances: approx.Distances}, want, false) {
+					t.Fatalf("%s on %s, %d procs: exact-fallback ANN %v %v, index %v %v",
+						m.Name(), d.Name, p, approx.Indices, approx.Distances, want.Indices, want.Distances)
+				}
+				e, err := eval.MatrixCtx(ctx, m, d.Test, d.Train, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows := search.Result{Indices: eval.Neighbors(e), Distances: make([]float64, len(e))}
+				for i, j := range rows.Indices {
+					rows.Distances[i] = e[i][j]
+				}
+				if !sameSearch(rows, want, false) {
+					t.Fatalf("%s on %s, %d procs: matrix argmin %v %v, index %v %v",
+						m.Name(), d.Name, p, rows.Indices, rows.Distances, want.Indices, want.Distances)
 				}
 			}
 			if served := covering.Hits().Total() > 0; served != (lb || sm) {
@@ -228,9 +251,9 @@ func TestSnapshotFallbacks(t *testing.T) {
 	}
 }
 
-// TestGridSnapshotStats checks the PrepSnapshot counter: a covering
-// snapshot must serve state (counter > 0) and eliminate inline preparation
-// for the families it covers.
+// TestGridSnapshotStats checks the PrepShared counter: a snapshot holding
+// every candidate's state serves all the states the sweep needs, and an
+// inline sweep is served none.
 func TestGridSnapshotStats(t *testing.T) {
 	archive := dataset.GenerateArchive(dataset.ArchiveOptions{
 		Seed: 29, Count: 1, MaxLength: 40, MaxTrain: 12, MaxTest: 4,
@@ -239,11 +262,12 @@ func TestGridSnapshotStats(t *testing.T) {
 	g := eval.Thin(eval.SINKGrid(), 4)
 	snap := snapshotFor(d.Train, g.Candidates...)
 	gr := grid(g.Candidates, d.Train, snap)
-	if gr.Stats.PrepSnapshot == 0 {
-		t.Fatalf("snapshot-backed sweep reports no snapshot-served states: %+v", gr.Stats)
+	if gr.Stats.PrepTotal == 0 || gr.Stats.PrepShared != gr.Stats.PrepTotal {
+		t.Fatalf("snapshot-backed sweep served %d of %d states, want all: %+v",
+			gr.Stats.PrepShared, gr.Stats.PrepTotal, gr.Stats)
 	}
 	inline := grid(g.Candidates, d.Train, nil)
-	if inline.Stats.PrepSnapshot != 0 {
-		t.Fatalf("inline sweep reports snapshot-served states: %+v", inline.Stats)
+	if inline.Stats.PrepShared != 0 || inline.Stats.PrepTotal != gr.Stats.PrepTotal {
+		t.Fatalf("inline sweep: %+v, want %d states, none shared", inline.Stats, gr.Stats.PrepTotal)
 	}
 }

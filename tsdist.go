@@ -623,7 +623,7 @@ type ANNIndex = ann.Index
 // BuildANN fits the embedder on refs and builds the approximate index
 // for queries under m.
 func BuildANN(refs [][]float64, m Measure, cfg ANNConfig) *ANNIndex {
-	ix, _ := ann.BuildCtx(context.Background(), refs, m, cfg, measure.RefState{})
+	ix, _ := ann.BuildCtx(context.Background(), refs, m, cfg, nil)
 	return ix
 }
 
