@@ -51,10 +51,14 @@ oracle-long:
 
 # Coverage-guided fuzzing, 10 s per target: exact search through every
 # measure.Plan route against brute force on arbitrary float64 payloads
-# (NaN, Inf, constant and empty series). The committed seed corpus under
-# internal/search/testdata/fuzz also runs on every plain `go test`.
+# (NaN, Inf, constant and empty series), and GAK's linear-space route
+# against its log-space one plus GAK/KDTW bitwise symmetry on arbitrary
+# payloads and bandwidths. The committed seed corpora under
+# internal/search/testdata/fuzz and internal/kernel/testdata/fuzz also run
+# on every plain `go test`.
 fuzz:
 	$(GO) test ./internal/search -run '^$$' -fuzz '^FuzzPlanRoutesAgree$$' -fuzztime 10s
+	$(GO) test ./internal/kernel -run '^$$' -fuzz '^FuzzGAKRoutes$$' -fuzztime 10s
 
 # Smoke-run every benchmark once, then measure the grid tuning benchmarks
 # (per-candidate loop vs grid engine), the spectral engine, the hot-loop

@@ -126,12 +126,16 @@ func TestGAKNonNegativeNormalized(t *testing.T) {
 
 func TestGAKSymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	x := randSeries(rng, 25)
-	y := randSeries(rng, 25)
-	g := GAK{Sigma: 0.5}
-	d1, d2 := g.Distance(x, y), g.Distance(y, x)
-	if math.Abs(d1-d2) > 1e-9 {
-		t.Fatalf("GAK not symmetric: %g vs %g", d1, d2)
+	for _, sigma := range []float64{0.1, 0.5, 1, 20} {
+		g := GAK{Sigma: sigma}
+		for trial := 0; trial < 20; trial++ {
+			x := randSeries(rng, 25+trial)
+			y := randSeries(rng, 25+trial)
+			d1, d2 := g.Distance(x, y), g.Distance(y, x)
+			if math.Float64bits(d1) != math.Float64bits(d2) || !measure.IsSymmetric(g) {
+				t.Fatalf("GAK sigma=%g not bitwise symmetric: %v vs %v", sigma, d1, d2)
+			}
+		}
 	}
 }
 
@@ -203,12 +207,16 @@ func TestKDTWIdentityIsZero(t *testing.T) {
 
 func TestKDTWSymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	x := randSeries(rng, 25)
-	y := randSeries(rng, 25)
-	k := KDTW{Gamma: 0.125}
-	d1, d2 := k.Distance(x, y), k.Distance(y, x)
-	if math.Abs(d1-d2) > 1e-9 {
-		t.Fatalf("KDTW not symmetric: %g vs %g", d1, d2)
+	for _, gamma := range []float64{0.125, 1} {
+		k := KDTW{Gamma: gamma}
+		for trial := 0; trial < 20; trial++ {
+			x := randSeries(rng, 25+trial)
+			y := randSeries(rng, 25+trial)
+			d1, d2 := k.Distance(x, y), k.Distance(y, x)
+			if math.Float64bits(d1) != math.Float64bits(d2) || !measure.IsSymmetric(k) {
+				t.Fatalf("KDTW gamma=%g not bitwise symmetric: %v vs %v", gamma, d1, d2)
+			}
+		}
 	}
 }
 
@@ -285,6 +293,22 @@ func TestKernelsImplementStateful(t *testing.T) {
 	for _, m := range []measure.Measure{SINK{Gamma: 5}, GAK{Sigma: 1}, KDTW{Gamma: 0.125}} {
 		if _, ok := m.(measure.Stateful); !ok {
 			t.Errorf("%s must implement measure.Stateful", m.Name())
+		}
+	}
+}
+
+// TestPreparedDistanceAllocFree pins the pooled pair paths: warm GAK (on
+// both routes), KDTW and SINK PreparedDistance calls allocate nothing.
+func TestPreparedDistanceAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	rng := rand.New(rand.NewSource(21))
+	x, y := randSeries(rng, 48), randSeries(rng, 48)
+	for _, m := range []measure.Stateful{GAK{Sigma: 20}, GAK{Sigma: 0.1}, KDTW{Gamma: 0.125}, SINK{Gamma: 5}} {
+		px, py := m.Prepare(x), m.Prepare(y)
+		if a := testing.AllocsPerRun(50, func() { m.PreparedDistance(px, py) }); a != 0 {
+			t.Errorf("%s: %v allocs per warm PreparedDistance, want 0", m.Name(), a)
 		}
 	}
 }

@@ -247,8 +247,13 @@ func Pairs() []Pair {
 		// Kernel measures.
 		{M: kernel.RBF{Gamma: 2}, Ref: refRBF(2), Tol: TolExact},
 		{M: kernel.SINK{Gamma: 5}, Ref: refSINK(5), Tol: TolFFT, FiniteOnly: true},
+		// GAK at sigma = 0.1 takes the log-space route on unit-scale data;
+		// sigma = 1 and 20 take the linear-space one.
 		{M: kernel.GAK{Sigma: 0.1}, Ref: refGAK(0.1), Tol: TolLogSpace, FiniteOnly: true},
+		{M: kernel.GAK{Sigma: 1}, Ref: refGAK(1), Tol: TolLogSpace, FiniteOnly: true},
+		{M: kernel.GAK{Sigma: 20}, Ref: refGAK(20), Tol: TolLogSpace, FiniteOnly: true},
 		{M: kernel.KDTW{Gamma: 0.125}, Ref: refKDTW(0.125), Tol: TolLogSpace, FiniteOnly: true},
+		{M: kernel.KDTW{Gamma: 1}, Ref: refKDTW(1), Tol: TolLogSpace, FiniteOnly: true},
 	}
 	return pairs
 }

@@ -58,8 +58,8 @@ func fuzzSeries(data []byte, count, length int) [][]float64 {
 // FuzzPlanRoutesAgree checks the exact search index against brute-force
 // Distance argmin (lowest index on ties) on arbitrary payloads, for one
 // measure per measure.Plan route: DTW (lower bounds and early abandon,
-// halved leave-one-out), ERP (plain, halved), SINK (prepared states, scan)
-// and Lorentzian (panel and early abandon). Both 1-NN of two extra query
+// halved leave-one-out), ERP (plain, halved), SINK (prepared states, scan),
+// GAK (prepared states, halved) and Lorentzian (panel and early abandon). Both 1-NN of two extra query
 // series and leave-one-out over the references must agree bitwise.
 func FuzzPlanRoutesAgree(f *testing.F) {
 	f.Add(uint8(5), uint8(8), []byte{1, 8, 16, 24, 127, 0, 8, 126, 200, 16, 8, 125})
@@ -73,6 +73,7 @@ func FuzzPlanRoutesAgree(f *testing.F) {
 			elastic.DTW{DeltaPercent: 10},
 			elastic.ERP{G: 0},
 			kernel.SINK{Gamma: 5},
+			kernel.GAK{Sigma: 1},
 			lockstep.Lorentzian(),
 		} {
 			res := oneNN(m, queries, refs, nil)

@@ -112,8 +112,10 @@ func TestGridEngineDegenerateInputs(t *testing.T) {
 
 // TestGridStatsCounters checks the sweep counters on the grids built for
 // them: SINK's gamma sweep prepares every series once per candidate
-// (none served without a snapshot), and the DTW band grid schedules
-// warm-started waves.
+// (none served without a snapshot), the exactly symmetric GAK and KDTW
+// sweeps evaluate each unordered leave-one-out pair once per candidate
+// (n(n-1)/2, not n(n-1)), and the DTW band grid schedules warm-started
+// waves.
 func TestGridStatsCounters(t *testing.T) {
 	archive := dataset.GenerateArchive(dataset.ArchiveOptions{
 		Seed: 5, Count: 1, MaxLength: 48, MaxTrain: 16, MaxTest: 4,
@@ -125,6 +127,16 @@ func TestGridStatsCounters(t *testing.T) {
 	if want := int64(len(sinkGrid) * len(train)); sink.PrepTotal != want || sink.PrepShared != 0 {
 		t.Errorf("SINK sweep needed %d states (%d shared), want %d (0 shared)",
 			sink.PrepTotal, sink.PrepShared, want)
+	}
+
+	n := int64(len(train))
+	for _, g := range []eval.Grid{eval.GAKGrid(), eval.KDTWGrid()} {
+		st := grid(g.Candidates, train, nil).Stats
+		want := int64(len(g.Candidates)) * n * (n - 1) / 2
+		if st.Search.Pairs != want || st.Search.FullDist != want {
+			t.Errorf("%s sweep: %d pairs (%d full distances), want %d halved pairs",
+				g.Name, st.Search.Pairs, st.Search.FullDist, want)
+		}
 	}
 
 	dtw := grid(eval.DTWGrid().Candidates, train, nil).Stats

@@ -288,11 +288,12 @@ func (ix *Index) LeaveOneOutCtx(ctx context.Context) (Result, error) {
 }
 
 // halvedEligible reports whether leave-one-out evaluation under p takes
-// the symmetric pair-halving path: exactly symmetric and not evaluated from
-// prepared states (whose fast path the full scan exploits better than
-// halving would; lower-bounded measures always qualify).
+// the symmetric pair-halving path: whenever the measure is exactly
+// symmetric. The halved scan evaluates each unordered pair once through
+// p.Pair, so lower bounds and prepared states serve it as they serve the
+// full scan.
 func halvedEligible(p *measure.Plan) bool {
-	return measure.IsSymmetric(p.Measure()) && !p.Prepared()
+	return measure.IsSymmetric(p.Measure())
 }
 
 // looHalvedCtx evaluates each unordered pair of indexed series once, the

@@ -94,11 +94,15 @@ func TestGridSnapshotMatchesInline(t *testing.T) {
 // Index.OneNNCtx and Index.LeaveOneOutCtx, over nil, covering and
 // non-covering snapshots for the engine shapes: lower-bounded (DTW, halved
 // leave-one-out), plain symmetric (ERP, halved without bounds), stateful
-// (SINK and GAK, scan leave-one-out), and panel plus early abandon
+// (SINK, scan leave-one-out; GAK, halved leave-one-out over prepared
+// states), and panel plus early abandon
 // (Lorentzian). Every route must return bitwise-identical neighbors,
 // distances and work counters; only a covering snapshot may serve state.
-// The halved path's counters depend on which worker scans which rows, so
-// they are compared on the single-worker run, where the schedule is fixed.
+// Only a pruning halved scan has counters that depend on which worker
+// scans which rows (its cutoffs come from the incumbents each worker has
+// seen), so those are compared on the single-worker run, where the
+// schedule is fixed; every other route's counters are compared on every
+// run.
 // The other measure.Plan routes are pinned against the same answers: the
 // ANN re-rank with a budget covering the corpus (the exact fallback) and
 // the row argmin of the exhaustive eval.MatrixCtx.
@@ -118,7 +122,7 @@ func TestOneNNSnapshotMatchesInline(t *testing.T) {
 	} {
 		plan := measure.NewPlan(m)
 		lb, sm := plan.Bounded(), plan.Prepared()
-		halved := measure.IsSymmetric(m) && !sm
+		scheduleDependent := measure.IsSymmetric(m) && plan.Prunes()
 		for _, d := range archive {
 			foreignTrain := make([][]float64, len(d.Train))
 			for i := range d.Train {
@@ -152,7 +156,7 @@ func TestOneNNSnapshotMatchesInline(t *testing.T) {
 						t.Fatalf("%s on %s, %d procs: %s snapshot 1-NN %+v, inline %+v",
 							m.Name(), d.Name, p, tc.name, got, want)
 					}
-					if !sameSearch(gotL, wantL, p == 1 || !halved) {
+					if !sameSearch(gotL, wantL, p == 1 || !scheduleDependent) {
 						t.Fatalf("%s on %s, %d procs: %s snapshot leave-one-out %+v, inline %+v",
 							m.Name(), d.Name, p, tc.name, gotL, wantL)
 					}

@@ -326,7 +326,8 @@ func RBF(gamma float64) Measure { return kernel.RBF{Gamma: gamma} }
 // SINK returns the shift-invariant normalized kernel distance of GRAIL.
 func SINK(gamma float64) Measure { return kernel.SINK{Gamma: gamma} }
 
-// GAK returns Cuturi's global alignment kernel distance (log-space).
+// GAK returns Cuturi's global alignment kernel distance (linear space,
+// finishing in log space where the linear recursion would underflow).
 func GAK(sigma float64) Measure { return kernel.GAK{Sigma: sigma} }
 
 // KDTW returns the regularized DTW kernel distance of Marteau & Gibet —
