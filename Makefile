@@ -51,14 +51,17 @@ oracle-long:
 
 # Coverage-guided fuzzing, 10 s per target: exact search through every
 # measure.Plan route against brute force on arbitrary float64 payloads
-# (NaN, Inf, constant and empty series), and GAK's linear-space route
+# (NaN, Inf, constant and empty series), GAK's linear-space route
 # against its log-space one plus GAK/KDTW bitwise symmetry on arbitrary
-# payloads and bandwidths. The committed seed corpora under
-# internal/search/testdata/fuzz and internal/kernel/testdata/fuzz also run
-# on every plain `go test`.
+# payloads and bandwidths, and every elastic kernel route (scalar,
+# wavefront, d=1 multivariate) against the plain recurrences plus bitwise
+# symmetry of the Table 5 measures. The committed seed corpora under
+# internal/search/testdata/fuzz, internal/kernel/testdata/fuzz and
+# internal/elastic/testdata/fuzz also run on every plain `go test`.
 fuzz:
 	$(GO) test ./internal/search -run '^$$' -fuzz '^FuzzPlanRoutesAgree$$' -fuzztime 10s
 	$(GO) test ./internal/kernel -run '^$$' -fuzz '^FuzzGAKRoutes$$' -fuzztime 10s
+	$(GO) test ./internal/elastic -run '^$$' -fuzz '^FuzzElasticKernels$$' -fuzztime 10s
 
 # Smoke-run every benchmark once, then measure the grid tuning benchmarks
 # (per-candidate loop vs grid engine), the spectral engine, the hot-loop

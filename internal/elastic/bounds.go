@@ -66,19 +66,24 @@ func (d DTW) DistanceUpTo(x, y []float64, cutoff float64) float64 {
 			cur[hi+1] = inf
 		}
 		rowMin := inf
+		xi := x[i-1]
+		left := inf // cur[j-1], carried in a register
 		for j := lo; j <= hi; j++ {
-			c := x[i-1] - y[j-1]
+			c := xi - y[j-1]
+			// A compare chain, not builtin min: a NaN insertion or
+			// deletion neighbor is skipped rather than propagated, the
+			// semantics refDTW's min3 pins.
 			best := prev[j-1] // diagonal
 			if prev[j] < best {
 				best = prev[j] // insertion
 			}
-			if cur[j-1] < best {
-				best = cur[j-1] // deletion
+			if left < best {
+				best = left // deletion
 			}
-			v := c*c + best
-			cur[j] = v
-			if v < rowMin {
-				rowMin = v
+			left = c*c + best
+			cur[j] = left
+			if left < rowMin {
+				rowMin = left
 			}
 		}
 		if rowMin >= cutoff {

@@ -16,6 +16,20 @@ import (
 	"repro/internal/measure"
 )
 
+// Kernel rule, shared by the scalar DPs here and in bounds.go and
+// extensions.go, the wavefront kernels (wavefront.go) and the dependent
+// multivariate twins: cells combine with builtin min/max, which follow
+// math.Min/Max's NaN and signed-zero rules but compile inline. Builtin min
+// and max are exactly commutative and associative (up to which NaN payload
+// propagates), so a cell may regroup them — left = min(min(diag, up),
+// left+cost) keeps a single min on the loop-carried chain, with the left
+// neighbor held in a local instead of re-read from cur[j-1] — but additions
+// are never reassociated, so every distance is bitwise what the plain
+// recurrence computes. DTW and WDTW keep their `<` compare chains, which
+// skip a NaN insertion or deletion neighbor instead of propagating it (the
+// semantics the oracle's refDTW/refWDTW pin). EDR's cells are small
+// non-negative integers, never NaN or -0, so builtin min serves it too.
+
 // RowScratch pools the two DP rows shared by the scalar elastic
 // recurrences (LCSS, EDR, ERP, MSM, TWE, Swale), so warm Distance calls
 // are allocation-free like DTW's dtwPool path. Contents are unspecified on
@@ -158,12 +172,15 @@ func (l LCSS) Distance(x, y []float64) float64 {
 		if hi < m {
 			cur[hi+1] = 0
 		}
+		xi := x[i-1]
+		left := 0.0 // cur[j-1], carried in a register
 		for j := lo; j <= hi; j++ {
-			if math.Abs(x[i-1]-y[j-1]) <= l.Epsilon {
-				cur[j] = prev[j-1] + 1
+			if math.Abs(xi-y[j-1]) <= l.Epsilon {
+				left = prev[j-1] + 1
 			} else {
-				cur[j] = math.Max(prev[j], cur[j-1])
+				left = max(prev[j], left)
 			}
+			cur[j] = left
 		}
 		prev, cur = cur, prev
 	}
@@ -201,20 +218,16 @@ func (e EDR) Distance(x, y []float64) float64 {
 		prev[j] = float64(j)
 	}
 	for i := 1; i <= m; i++ {
-		cur[0] = float64(i)
+		xi := x[i-1]
+		left := float64(i)
+		cur[0] = left
 		for j := 1; j <= m; j++ {
 			subCost := 1.0
-			if math.Abs(x[i-1]-y[j-1]) <= e.Epsilon {
+			if math.Abs(xi-y[j-1]) <= e.Epsilon {
 				subCost = 0
 			}
-			best := prev[j-1] + subCost
-			if v := prev[j] + 1; v < best {
-				best = v
-			}
-			if v := cur[j-1] + 1; v < best {
-				best = v
-			}
-			cur[j] = best
+			left = min(min(prev[j-1]+subCost, prev[j]+1), left+1)
+			cur[j] = left
 		}
 		prev, cur = cur, prev
 	}
@@ -253,12 +266,16 @@ func (e ERP) Distance(x, y []float64) float64 {
 		prev[j] = prev[j-1] + math.Abs(y[j-1]-e.G)
 	}
 	for i := 1; i <= m; i++ {
-		cur[0] = prev[0] + math.Abs(x[i-1]-e.G)
+		xi := x[i-1]
+		gx := math.Abs(xi - e.G)
+		left := prev[0] + gx
+		cur[0] = left
 		for j := 1; j <= m; j++ {
-			match := prev[j-1] + math.Abs(x[i-1]-y[j-1])
-			gapX := prev[j] + math.Abs(x[i-1]-e.G)
-			gapY := cur[j-1] + math.Abs(y[j-1]-e.G)
-			cur[j] = math.Min(match, math.Min(gapX, gapY))
+			yj := y[j-1]
+			match := prev[j-1] + math.Abs(xi-yj)
+			gapX := prev[j] + gx
+			left = min(min(match, gapX), left+math.Abs(yj-e.G)) // gapY on the carried chain
+			cur[j] = left
 		}
 		prev, cur = cur, prev
 	}
@@ -287,7 +304,7 @@ func (m MSM) msmCost(newPoint, a, b float64) float64 {
 	if (a <= newPoint && newPoint <= b) || (b <= newPoint && newPoint <= a) {
 		return m.C
 	}
-	return m.C + math.Min(math.Abs(newPoint-a), math.Abs(newPoint-b))
+	return m.C + min(math.Abs(newPoint-a), math.Abs(newPoint-b))
 }
 
 // Distance implements measure.Measure. Long series on multi-core machines
@@ -309,12 +326,15 @@ func (m MSM) Distance(x, y []float64) float64 {
 		prev[j] = prev[j-1] + m.msmCost(y[j], x[0], y[j-1])
 	}
 	for i := 1; i < n; i++ {
-		cur[0] = prev[0] + m.msmCost(x[i], x[i-1], y[0])
+		xi, xim := x[i], x[i-1]
+		left := prev[0] + m.msmCost(xi, xim, y[0])
+		cur[0] = left
 		for j := 1; j < n; j++ {
-			move := prev[j-1] + math.Abs(x[i]-y[j])
-			split := prev[j] + m.msmCost(x[i], x[i-1], y[j])
-			merge := cur[j-1] + m.msmCost(y[j], x[i], y[j-1])
-			cur[j] = math.Min(move, math.Min(split, merge))
+			yj := y[j]
+			move := prev[j-1] + math.Abs(xi-yj)
+			split := prev[j] + m.msmCost(xi, xim, yj)
+			left = min(min(move, split), left+m.msmCost(yj, xi, y[j-1])) // merge on the carried chain
+			cur[j] = left
 		}
 		prev, cur = cur, prev
 	}
@@ -361,12 +381,14 @@ func (t TWE) Distance(x, y []float64) float64 {
 	}
 	prev[0] = 0
 	for i := 1; i <= m; i++ {
-		cur[0] = inf // only column 0 is read before being written
+		left := inf // only column 0 is read before being written
+		cur[0] = left
 		xi := x[i-1] // xp[i]
 		xim := 0.0   // xp[i-1]: the pad sample when i == 1
 		if i > 1 {
 			xim = x[i-2]
 		}
+		axd := math.Abs(xi - xim)
 		for j := 1; j <= m; j++ {
 			yj := y[j-1]
 			yjm := 0.0
@@ -374,13 +396,13 @@ func (t TWE) Distance(x, y []float64) float64 {
 				yjm = y[j-2]
 			}
 			// Delete in x: advance i only.
-			delA := prev[j] + math.Abs(xi-xim) + t.Nu + t.Lambda
-			// Delete in y: advance j only.
-			delB := cur[j-1] + math.Abs(yj-yjm) + t.Nu + t.Lambda
+			delA := prev[j] + axd + t.Nu + t.Lambda
 			// Match: advance both, with stiffness on the time difference.
 			match := prev[j-1] + math.Abs(xi-yj) + math.Abs(xim-yjm) +
 				2*t.Nu*math.Abs(float64(i-j))
-			cur[j] = math.Min(match, math.Min(delA, delB))
+			// Delete in y (advance j only) rides the carried chain.
+			left = min(min(match, delA), left+math.Abs(yj-yjm)+t.Nu+t.Lambda)
+			cur[j] = left
 		}
 		prev, cur = cur, prev
 	}
@@ -413,13 +435,16 @@ func (s Swale) Distance(x, y []float64) float64 {
 		prev[j] = -s.P * float64(j)
 	}
 	for i := 1; i <= m; i++ {
-		cur[0] = -s.P * float64(i)
+		xi := x[i-1]
+		left := -s.P * float64(i)
+		cur[0] = left
 		for j := 1; j <= m; j++ {
-			if math.Abs(x[i-1]-y[j-1]) <= s.Epsilon {
-				cur[j] = prev[j-1] + s.R
+			if math.Abs(xi-y[j-1]) <= s.Epsilon {
+				left = prev[j-1] + s.R
 			} else {
-				cur[j] = math.Max(prev[j], cur[j-1]) - s.P
+				left = max(prev[j], left) - s.P
 			}
+			cur[j] = left
 		}
 		prev, cur = cur, prev
 	}

@@ -103,40 +103,47 @@ func (w WDTW) Distance(x, y []float64) float64 {
 	if wmax == 0 {
 		wmax = 1
 	}
-	// Precompute the weight of each phase difference.
-	weights := make([]float64, m)
+	// Precompute the weight of each phase difference into a second pooled
+	// row pair; warm calls allocate nothing.
+	ws, weights, spare := getRows(m)
 	mid := float64(m) / 2
 	for a := range weights {
 		weights[a] = wmax / (1 + math.Exp(-w.G*(float64(a)-mid)))
 	}
 	inf := math.Inf(1)
-	prev := make([]float64, m+1)
-	cur := make([]float64, m+1)
+	s, prev, cur := getRows(m + 1)
 	for j := range prev {
 		prev[j] = inf
 	}
 	prev[0] = 0
 	for i := 1; i <= m; i++ {
 		cur[0] = inf
+		xi := x[i-1]
+		left := inf // cur[j-1], carried in a register
 		for j := 1; j <= m; j++ {
-			diff := x[i-1] - y[j-1]
+			diff := xi - y[j-1]
 			phase := i - j
 			if phase < 0 {
 				phase = -phase
 			}
 			c := weights[phase] * diff * diff
+			// DTW's compare chain, for the NaN semantics refWDTW pins.
 			best := prev[j-1]
 			if prev[j] < best {
 				best = prev[j]
 			}
-			if cur[j-1] < best {
-				best = cur[j-1]
+			if left < best {
+				best = left
 			}
-			cur[j] = c + best
+			left = c + best
+			cur[j] = left
 		}
 		prev, cur = cur, prev
 	}
-	return prev[m]
+	res := prev[m]
+	s.release(prev, cur)
+	ws.release(weights, spare)
+	return res
 }
 
 // CID wraps any base measure with the Complexity-Invariant correction of
@@ -170,7 +177,7 @@ func (c CID) Distance(x, y []float64) float64 {
 	measure.CheckSameLength(x, y)
 	base := c.Base.Distance(x, y)
 	cx, cy := ComplexityEstimate(x), ComplexityEstimate(y)
-	lo, hi := math.Min(cx, cy), math.Max(cx, cy)
+	lo, hi := min(cx, cy), max(cx, cy)
 	if lo == 0 {
 		if hi == 0 {
 			return base // both flat: no correction

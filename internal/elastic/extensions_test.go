@@ -249,20 +249,6 @@ func TestLBKeoghEnvelopeBoundsDTW(t *testing.T) {
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestDDBlendEndpoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	x := randSeries(rng, 40)

@@ -15,11 +15,13 @@ import (
 // every block depends only on its left, top, and top-left neighbors, so the
 // blocks of one anti-diagonal are independent once the previous diagonal is
 // done and can be scheduled across par workers (par.WavefrontCtx). Inside a
-// block the recurrence runs the exact same per-cell operations in the exact
-// same order as the scalar two-row DP, so the result is bitwise-identical
-// regardless of block size or worker count: floating-point addition is not
-// associative, but the blocking never reassociates anything — it only
-// changes *when* each cell is computed, never *from what*.
+// block the recurrence runs the same per-cell arithmetic as the scalar
+// two-row DP, so the result is bitwise-identical regardless of block size or
+// worker count: floating-point addition is not associative, but the blocking
+// never reassociates anything — it only changes *when* each cell is
+// computed, never *from what*. Both paths follow the package's kernel rule
+// (see elastic.go): the same additions in the same order, with only builtin
+// min/max — exactly commutative and associative — free to regroup.
 //
 // Shared state between blocks lives in three flat buffers owned by a pooled
 // arena:
@@ -87,8 +89,9 @@ func growFloats(s []float64, n int) []float64 {
 // wfRowKernel fills one DP row segment: cur[k] = DP(i, j0-1+k) for
 // k in [1, j1-j0+1], given prev[k] = DP(i-1, j0-1+k) for k in [0, j1-j0+1]
 // and cur[0] = DP(i, j0-1) preset by the engine. Kernels must perform the
-// same per-cell operations as their scalar counterpart so the blocked
-// result stays bitwise-identical.
+// same per-cell arithmetic as their scalar counterpart (same additions in
+// the same order; min/max may regroup) so the blocked result stays
+// bitwise-identical.
 type wfRowKernel func(i, j0, j1 int, prev, cur []float64)
 
 // runWavefront evaluates an R-by-C dynamic program (cells (i, j) with
@@ -217,10 +220,12 @@ func (d DTW) DistanceWavefront(ctx context.Context, x, y []float64) (float64, er
 		func(i, j0, j1 int, prev, cur []float64) {
 			lo, hi := i-w, i+w
 			xi := x[i-1]
+			left := cur[0]
 			for j := j0; j <= j1; j++ {
 				k := j - j0 + 1
 				if j < lo || j > hi {
-					cur[k] = inf
+					left = inf
+					cur[k] = left
 					continue
 				}
 				c := xi - y[j-1]
@@ -228,10 +233,11 @@ func (d DTW) DistanceWavefront(ctx context.Context, x, y []float64) (float64, er
 				if prev[k] < best {
 					best = prev[k] // insertion
 				}
-				if cur[k-1] < best {
-					best = cur[k-1] // deletion
+				if left < best {
+					best = left // deletion
 				}
-				cur[k] = c*c + best
+				left = c*c + best
+				cur[k] = left
 			}
 		})
 }
@@ -255,17 +261,18 @@ func (l LCSS) DistanceWavefront(ctx context.Context, x, y []float64) (float64, e
 		func(i, j0, j1 int, prev, cur []float64) {
 			lo, hi := i-w, i+w
 			xi := x[i-1]
+			left := cur[0]
 			for j := j0; j <= j1; j++ {
 				k := j - j0 + 1
-				if j < lo || j > hi {
-					cur[k] = 0
-					continue
+				switch {
+				case j < lo || j > hi:
+					left = 0
+				case math.Abs(xi-y[j-1]) <= l.Epsilon:
+					left = prev[k-1] + 1
+				default:
+					left = max(prev[k], left)
 				}
-				if math.Abs(xi-y[j-1]) <= l.Epsilon {
-					cur[k] = prev[k-1] + 1
-				} else {
-					cur[k] = math.Max(prev[k], cur[k-1])
-				}
+				cur[k] = left
 			}
 		})
 	if err != nil {
@@ -290,20 +297,15 @@ func (e EDR) DistanceWavefront(ctx context.Context, x, y []float64) (float64, er
 	return runWavefront(ctx, m, m, -1, 0, 0, countInit, countInit,
 		func(i, j0, j1 int, prev, cur []float64) {
 			xi := x[i-1]
+			left := cur[0]
 			for j := j0; j <= j1; j++ {
 				k := j - j0 + 1
 				subCost := 1.0
 				if math.Abs(xi-y[j-1]) <= e.Epsilon {
 					subCost = 0
 				}
-				best := prev[k-1] + subCost
-				if v := prev[k] + 1; v < best {
-					best = v
-				}
-				if v := cur[k-1] + 1; v < best {
-					best = v
-				}
-				cur[k] = best
+				left = min(min(prev[k-1]+subCost, prev[k]+1), left+1)
+				cur[k] = left
 			}
 		})
 }
@@ -330,13 +332,14 @@ func (e ERP) DistanceWavefront(ctx context.Context, x, y []float64) (float64, er
 		func(i, j0, j1 int, prev, cur []float64) {
 			xi := x[i-1]
 			gx := math.Abs(xi - e.G)
+			left := cur[0]
 			for j := j0; j <= j1; j++ {
 				k := j - j0 + 1
 				yj := y[j-1]
 				match := prev[k-1] + math.Abs(xi-yj)
 				gapX := prev[k] + gx
-				gapY := cur[k-1] + math.Abs(yj-e.G)
-				cur[k] = math.Min(match, math.Min(gapX, gapY))
+				left = min(min(match, gapX), left+math.Abs(yj-e.G))
+				cur[k] = left
 			}
 		})
 }
@@ -372,13 +375,14 @@ func (m MSM) DistanceWavefront(ctx context.Context, x, y []float64) (float64, er
 	return runWavefront(ctx, n-1, n-1, -1, 0, corner0, topInit, leftInit,
 		func(i, j0, j1 int, prev, cur []float64) {
 			xi, xim := x[i], x[i-1]
+			left := cur[0]
 			for j := j0; j <= j1; j++ {
 				k := j - j0 + 1
 				yj := y[j]
 				move := prev[k-1] + math.Abs(xi-yj)
 				split := prev[k] + m.msmCost(xi, xim, yj)
-				merge := cur[k-1] + m.msmCost(yj, xi, y[j-1])
-				cur[k] = math.Min(move, math.Min(split, merge))
+				left = min(min(move, split), left+m.msmCost(yj, xi, y[j-1]))
+				cur[k] = left
 			}
 		})
 }
@@ -406,6 +410,7 @@ func (t TWE) DistanceWavefront(ctx context.Context, x, y []float64) (float64, er
 				xim = x[i-2]
 			}
 			axd := math.Abs(xi - xim)
+			left := cur[0]
 			for j := j0; j <= j1; j++ {
 				k := j - j0 + 1
 				yj := y[j-1]
@@ -414,10 +419,10 @@ func (t TWE) DistanceWavefront(ctx context.Context, x, y []float64) (float64, er
 					yjm = y[j-2]
 				}
 				delA := prev[k] + axd + t.Nu + t.Lambda
-				delB := cur[k-1] + math.Abs(yj-yjm) + t.Nu + t.Lambda
 				match := prev[k-1] + math.Abs(xi-yj) + math.Abs(xim-yjm) +
 					2*t.Nu*math.Abs(float64(i-j))
-				cur[k] = math.Min(match, math.Min(delA, delB))
+				left = min(min(match, delA), left+math.Abs(yj-yjm)+t.Nu+t.Lambda)
+				cur[k] = left
 			}
 		})
 }

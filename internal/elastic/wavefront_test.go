@@ -152,7 +152,8 @@ func TestWavefrontCancelDuringRun(t *testing.T) {
 
 // TestElasticDistanceAllocFree pins the satellite fix: every scalar elastic
 // Distance runs allocation-free once the row pool is warm (DTW already did
-// through dtwPool; MSM and TWE used to allocate fresh rows per call).
+// through dtwPool; MSM and TWE used to allocate fresh rows per call, WDTW
+// its two rows and its weight table).
 func TestElasticDistanceAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under -race; allocation counts are meaningless")
@@ -165,6 +166,7 @@ func TestElasticDistanceAllocFree(t *testing.T) {
 	}{
 		DTW{DeltaPercent: 10}, LCSS{DeltaPercent: 5, Epsilon: 0.2}, EDR{Epsilon: 0.1},
 		ERP{}, MSM{C: 0.5}, TWE{Lambda: 1, Nu: 0.0001}, Swale{Epsilon: 0.2, P: 5, R: 1},
+		WDTW{G: 0.05},
 	}
 	for _, m := range measures {
 		m.Distance(x, y) // warm the pool

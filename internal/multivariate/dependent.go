@@ -7,9 +7,10 @@ package multivariate
 // pool, so warm calls are allocation-free. Point costs reduce to the
 // univariate costs at one channel (squared difference for DTW, absolute
 // difference for ERP and MSM), and every recurrence replicates its
-// univariate counterpart's operation order, so at d=1 the dependent
-// measures are bitwise identical to internal/elastic — the oracle harness
-// pins this.
+// univariate counterpart's additions in the same order (builtin min, exactly
+// associative, carries the left neighbor the same way), so at d=1 the
+// dependent measures are bitwise identical to internal/elastic — the oracle
+// harness and internal/elastic's kernel tests pin this.
 
 import (
 	"context"
@@ -152,19 +153,20 @@ func (d DTWDependent) distanceErr(ctx context.Context, x, y Series, cutoff float
 		}
 		rowMin := inf
 		xi := x[i-1]
+		left := inf // cur[j-1], carried in a register
 		for j := lo; j <= hi; j++ {
 			c := sqDist(xi, y[j-1])
 			best := prev[j-1] // diagonal
 			if prev[j] < best {
 				best = prev[j] // insertion
 			}
-			if cur[j-1] < best {
-				best = cur[j-1] // deletion
+			if left < best {
+				best = left // deletion
 			}
-			v := c + best
-			cur[j] = v
-			if v < rowMin {
-				rowMin = v
+			left = c + best
+			cur[j] = left
+			if left < rowMin {
+				rowMin = left
 			}
 		}
 		if rowMin >= cutoff {
@@ -236,13 +238,14 @@ func (e ERPDependent) distanceErr(ctx context.Context, x, y Series) (float64, er
 		}
 		xi := x[i-1]
 		gx := e.gapCost(xi)
-		cur[0] = prev[0] + gx
+		left := prev[0] + gx
+		cur[0] = left
 		for j := 1; j <= n; j++ {
 			yj := y[j-1]
 			match := prev[j-1] + l1Dist(xi, yj)
 			gapX := prev[j] + gx
-			gapY := cur[j-1] + e.gapCost(yj)
-			cur[j] = math.Min(match, math.Min(gapX, gapY))
+			left = min(min(match, gapX), left+e.gapCost(yj)) // gapY on the carried chain
+			cur[j] = left
 		}
 		prev, cur = cur, prev
 	}
@@ -282,7 +285,7 @@ func (m MSMDependent) msmCost(p, a, b []float64) float64 {
 	if between {
 		return m.C
 	}
-	return m.C + math.Min(dpa, dpb)
+	return m.C + min(dpa, dpb)
 }
 
 // Distance implements Measure.
@@ -321,13 +324,14 @@ func (m MSMDependent) distanceErr(ctx context.Context, x, y Series) (float64, er
 			}
 		}
 		xi, xim := x[i], x[i-1]
-		cur[0] = prev[0] + m.msmCost(xi, xim, y[0])
+		left := prev[0] + m.msmCost(xi, xim, y[0])
+		cur[0] = left
 		for j := 1; j < n; j++ {
 			yj := y[j]
 			move := prev[j-1] + l1Dist(xi, yj)
 			split := prev[j] + m.msmCost(xi, xim, yj)
-			merge := cur[j-1] + m.msmCost(yj, xi, y[j-1])
-			cur[j] = math.Min(move, math.Min(split, merge))
+			left = min(min(move, split), left+m.msmCost(yj, xi, y[j-1])) // merge on the carried chain
+			cur[j] = left
 		}
 		prev, cur = cur, prev
 	}
