@@ -30,8 +30,8 @@ race: check-race
 # pruned search engine and the evaluation layer driving it, the spectral
 # engine's tiled dispatch (the parallel Gram fill/mirroring in
 # internal/kernel and the parallel embedding fits), the wavefront DP
-# scheduler plus the batched panel kernels, the STOMP matrix-profile
-# engine's block dispatch, the subsequence layer, the index builders (now
+# scheduler plus the batched panel kernels, the matrix-profile engine's
+# tile dispatch, the subsequence layer, the index builders (now
 # including the parallel VP-tree build), the corpus snapshot builder plus
 # its LRU cache, the ANN engine's parallel embed/build plus its
 # shared-index concurrent Queriers, and the multivariate layer's parallel
@@ -53,15 +53,19 @@ oracle-long:
 # measure.Plan route against brute force on arbitrary float64 payloads
 # (NaN, Inf, constant and empty series), GAK's linear-space route
 # against its log-space one plus GAK/KDTW bitwise symmetry on arbitrary
-# payloads and bandwidths, and every elastic kernel route (scalar,
+# payloads and bandwidths, every elastic kernel route (scalar,
 # wavefront, d=1 multivariate) against the plain recurrences plus bitwise
-# symmetry of the Table 5 measures. The committed seed corpora under
-# internal/search/testdata/fuzz, internal/kernel/testdata/fuzz and
-# internal/elastic/testdata/fuzz also run on every plain `go test`.
+# symmetry of the Table 5 measures, and every matrix-profile measure's
+# self- and AB-join against a masked per-pair scan plus bitwise equality
+# across worker counts and the anytime schedule. The committed seed
+# corpora under internal/search/testdata/fuzz,
+# internal/kernel/testdata/fuzz, internal/elastic/testdata/fuzz and
+# internal/profile/testdata/fuzz also run on every plain `go test`.
 fuzz:
 	$(GO) test ./internal/search -run '^$$' -fuzz '^FuzzPlanRoutesAgree$$' -fuzztime 10s
 	$(GO) test ./internal/kernel -run '^$$' -fuzz '^FuzzGAKRoutes$$' -fuzztime 10s
 	$(GO) test ./internal/elastic -run '^$$' -fuzz '^FuzzElasticKernels$$' -fuzztime 10s
+	$(GO) test ./internal/profile -run '^$$' -fuzz '^FuzzProfileJoin$$' -fuzztime 10s
 
 # Smoke-run every benchmark once, then measure the grid tuning benchmarks
 # (per-candidate loop vs grid engine), the spectral engine, the hot-loop

@@ -7,6 +7,11 @@
 // Benchmarks present in only one file are reported but never fail the
 // comparison — renames and additions are not regressions.
 //
+// Both files may carry a host stamp (CPU model, GOMAXPROCS, Go version);
+// when the stamps differ, a warning goes to standard error, since the
+// deltas then mix a host change with the code change. Legacy files, a bare
+// JSON array of records without a stamp, are still read.
+//
 // Usage:
 //
 //	go test -bench Hotloops -benchmem ./internal/elastic | benchjson -o new.json
@@ -14,6 +19,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -28,6 +34,43 @@ type Record struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+}
+
+// Host mirrors cmd/benchjson's host stamp.
+type Host struct {
+	CPU        string `json:"cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+}
+
+// File mirrors cmd/benchjson's output document. Host is nil for legacy
+// files.
+type File struct {
+	Host       *Host    `json:"host"`
+	Benchmarks []Record `json:"benchmarks"`
+}
+
+// HostWarning describes why two files' timings are not comparable as a
+// pure code change, or returns "" when both hosts are stamped and equal.
+func HostWarning(old, new *Host) string {
+	switch {
+	case old == nil && new == nil:
+		return "neither file records its host; deltas may include a host change"
+	case old == nil:
+		return "the old file records no host; deltas may include a host change"
+	case new == nil:
+		return "the new file records no host; deltas may include a host change"
+	case *old != *new:
+		return fmt.Sprintf("hosts differ (old: %s; new: %s); deltas include the host change",
+			old.describe(), new.describe())
+	}
+	return ""
+}
+
+func (h *Host) describe() string {
+	return fmt.Sprintf("%s, GOMAXPROCS=%d, %s %s/%s", h.CPU, h.GOMAXPROCS, h.GoVersion, h.GOOS, h.GOARCH)
 }
 
 // Row is one comparison line. Delta is the relative ns/op change in
@@ -103,16 +146,28 @@ func Render(rows []Row, threshold float64) string {
 	return b.String()
 }
 
-func readRecords(path string) ([]Record, error) {
+// Parse reads a benchjson document: the stamped object form, or the
+// legacy bare array of records.
+func Parse(data []byte) (File, error) {
+	var f File
+	if t := bytes.TrimSpace(data); len(t) > 0 && t[0] == '[' {
+		err := json.Unmarshal(t, &f.Benchmarks)
+		return f, err
+	}
+	err := json.Unmarshal(data, &f)
+	return f, err
+}
+
+func readFile(path string) (File, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return File{}, err
 	}
-	var recs []Record
-	if err := json.Unmarshal(data, &recs); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	f, err := Parse(data)
+	if err != nil {
+		return File{}, fmt.Errorf("%s: %w", path, err)
 	}
-	return recs, nil
+	return f, nil
 }
 
 func main() {
@@ -124,17 +179,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchcompare: -old and -new are both required")
 		os.Exit(2)
 	}
-	oldRecs, err := readRecords(*oldPath)
+	oldFile, err := readFile(*oldPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchcompare: %v\n", err)
 		os.Exit(2)
 	}
-	newRecs, err := readRecords(*newPath)
+	newFile, err := readFile(*newPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchcompare: %v\n", err)
 		os.Exit(2)
 	}
-	rows := Compare(oldRecs, newRecs)
+	if w := HostWarning(oldFile.Host, newFile.Host); w != "" {
+		fmt.Fprintf(os.Stderr, "benchcompare: warning: %s\n", w)
+	}
+	rows := Compare(oldFile.Benchmarks, newFile.Benchmarks)
 	os.Stdout.WriteString(Render(rows, *threshold))
 	if reg := Regressions(rows, *threshold); len(reg) > 0 {
 		fmt.Fprintf(os.Stderr, "benchcompare: %d benchmark(s) regressed beyond %.1f%%\n", len(reg), *threshold)

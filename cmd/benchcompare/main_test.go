@@ -54,3 +54,37 @@ func TestCompareZeroBaseline(t *testing.T) {
 		t.Errorf("zero baseline delta = %v, want 0 (undefined ratios never fail the gate)", rows[0].Delta)
 	}
 }
+
+func TestParseStampedAndLegacy(t *testing.T) {
+	legacy, err := Parse([]byte(`[{"name": "BenchmarkA", "iterations": 3, "ns_per_op": 100}]`))
+	if err != nil || legacy.Host != nil || len(legacy.Benchmarks) != 1 || legacy.Benchmarks[0].NsPerOp != 100 {
+		t.Fatalf("legacy array: %+v, %v", legacy, err)
+	}
+	stamped, err := Parse([]byte(`{"host": {"cpu": "X", "gomaxprocs": 2, "go_version": "go1.24.0", "goos": "linux", "goarch": "amd64"},
+		"benchmarks": [{"name": "BenchmarkA", "iterations": 3, "ns_per_op": 90}]}`))
+	if err != nil || stamped.Host == nil || stamped.Host.GOMAXPROCS != 2 || stamped.Benchmarks[0].NsPerOp != 90 {
+		t.Fatalf("stamped file: %+v, %v", stamped, err)
+	}
+	if _, err := Parse([]byte(`{"benchmarks": 3}`)); err == nil {
+		t.Error("malformed file parsed without error")
+	}
+}
+
+func TestHostWarning(t *testing.T) {
+	a := &Host{CPU: "X", GOMAXPROCS: 2, GoVersion: "go1.24.0", GOOS: "linux", GOARCH: "amd64"}
+	same := *a
+	if w := HostWarning(a, &same); w != "" {
+		t.Errorf("equal hosts warned: %q", w)
+	}
+	other := *a
+	other.GOMAXPROCS = 4
+	if w := HostWarning(a, &other); !strings.Contains(w, "hosts differ") || !strings.Contains(w, "GOMAXPROCS=4") {
+		t.Errorf("differing hosts: %q", w)
+	}
+	if w := HostWarning(nil, a); !strings.Contains(w, "old file records no host") {
+		t.Errorf("legacy old file: %q", w)
+	}
+	if w := HostWarning(nil, nil); w == "" {
+		t.Error("two legacy files compared without a warning")
+	}
+}

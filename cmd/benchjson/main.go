@@ -1,8 +1,15 @@
 // Command benchjson converts `go test -bench -benchmem` output on stdin
-// into a JSON array of {name, ns_per_op, bytes_per_op, allocs_per_op}
-// records. The raw benchmark lines are echoed to stdout unchanged so the
-// command can sit at the end of a pipeline without hiding the run; the
-// JSON goes to the file named by -o (or stdout when -o is empty).
+// into a JSON object: a host stamp (CPU model, GOMAXPROCS, Go version,
+// OS and architecture) and an array of {name, ns_per_op, bytes_per_op,
+// allocs_per_op} records. The raw benchmark lines are echoed to stdout
+// unchanged so the command can sit at the end of a pipeline without hiding
+// the run; the JSON goes to the file named by -o (or stdout when -o is
+// empty).
+//
+// The CPU model comes from the `cpu:` header `go test` prints and
+// GOMAXPROCS from the benchmark names' -N suffix; the Go version is the
+// toolchain benchjson itself was built with, which under `go run` in the
+// same pipeline is the one that ran the benchmarks.
 //
 // When a benchmark name repeats (a `go test -count=N` run), the record
 // keeps the minimum ns/op across repetitions: co-tenant interference on
@@ -22,8 +29,27 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"runtime"
 	"strconv"
+	"strings"
 )
+
+// Host identifies the machine and toolchain a benchmark file was recorded
+// on, so comparisons across files can tell a host change from a code
+// change.
+type Host struct {
+	CPU        string `json:"cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+}
+
+// File is the JSON document benchjson writes.
+type File struct {
+	Host       Host     `json:"host"`
+	Benchmarks []Record `json:"benchmarks"`
+}
 
 // Record is one benchmark result. GOMAXPROCS suffixes are stripped from
 // the name so committed files do not encode the build machine's core
@@ -47,14 +73,23 @@ func main() {
 
 	var records []Record
 	index := map[string]int{} // name -> position in records
+	host := Host{GoVersion: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		line := sc.Text()
 		fmt.Println(line)
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
+			host.CPU = strings.TrimSpace(cpu)
+		}
 		m := benchLineRE.FindStringSubmatch(line)
 		if m == nil {
 			continue
+		}
+		if m[2] != "" {
+			host.GOMAXPROCS, _ = strconv.Atoi(m[2][1:])
+		} else {
+			host.GOMAXPROCS = 1 // go test omits the suffix at GOMAXPROCS=1
 		}
 		iters, _ := strconv.ParseInt(m[3], 10, 64)
 		ns, _ := strconv.ParseFloat(m[4], 64)
@@ -83,7 +118,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	data, err := json.MarshalIndent(records, "", "  ")
+	data, err := json.MarshalIndent(File{Host: host, Benchmarks: records}, "", "  ")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: marshal: %v\n", err)
 		os.Exit(1)

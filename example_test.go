@@ -123,7 +123,11 @@ func ExampleMotif() {
 	pattern := []float64{0, 1, 3, 1, 0, -1, -3, -1, 0, 2, 4, 2, 0, -2, -4, -2, 0, 1, 2, 1}
 	copy(t[40:], pattern)
 	copy(t[160:], pattern)
-	i, j, _ := repro.Motif(t, len(pattern))
+	i, j, _, err := repro.Motif(t, len(pattern))
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	if i > j {
 		i, j = j, i
 	}

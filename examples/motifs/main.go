@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"math"
 	"math/rand"
 	"strings"
@@ -49,12 +50,18 @@ func main() {
 	fmt.Printf("series length %d, window %d\n\n", n, window)
 
 	// Motif discovery via the matrix profile.
-	i, j, dist := repro.Motif(t, window)
+	i, j, dist, err := repro.Motif(t, window)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("motif pair: offsets %d and %d (distance %.4f)\n", i, j, dist)
 	fmt.Printf("planted at: offsets 150 and 800\n\n")
 
 	// Anomaly detection: the discord.
-	offset, ddist := repro.Discord(t, window)
+	offset, ddist, err := repro.Discord(t, window)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("discord: offset %d (distance %.4f); dropout planted at 500-590\n\n", offset, ddist)
 
 	// Query search: find every occurrence of the pattern with MASS.
@@ -66,7 +73,10 @@ func main() {
 
 	// A coarse ASCII rendering of the matrix profile: peaks mark anomalies,
 	// valleys mark motifs.
-	profile, _ := repro.MatrixProfile(t, window)
+	profile, _, err := repro.MatrixProfile(t, window)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("\nmatrix profile (binned; high = anomalous, low = repeated):")
 	fmt.Println(sparkline(profile, 80))
 }

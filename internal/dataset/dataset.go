@@ -192,10 +192,17 @@ func Resample(x []float64, target int) []float64 {
 // constant series normalizes to all zeros. The archive is stored
 // z-normalized, as in the UCR archive and the paper.
 func ZNormalize(x []float64) []float64 {
+	out := append(make([]float64, 0, len(x)), x...)
+	zNormalizeInPlace(out)
+	return out
+}
+
+// zNormalizeInPlace is ZNormalize overwriting x, for callers that own a
+// fresh series (the synthetic generator), saving one copy per series.
+func zNormalizeInPlace(x []float64) {
 	n := len(x)
-	out := make([]float64, n)
 	if n == 0 {
-		return out
+		return
 	}
 	var mean float64
 	for _, v := range x {
@@ -209,12 +216,12 @@ func ZNormalize(x []float64) []float64 {
 	}
 	std := math.Sqrt(ss / float64(n))
 	if std == 0 {
-		return out
+		clear(x)
+		return
 	}
 	for i, v := range x {
-		out[i] = (v - mean) / std
+		x[i] = (v - mean) / std
 	}
-	return out
 }
 
 // ZNormalizeAll z-normalizes every series of the dataset in place and

@@ -3,6 +3,7 @@ package dataset
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -302,14 +303,19 @@ func TestGeneratePanicsOnBadConfig(t *testing.T) {
 
 func TestCircularShift(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
-	got := circularShift(x, 1)
+	shifted := func(shift int) []float64 {
+		got := slices.Clone(x)
+		rotate(got, shift)
+		return got
+	}
+	got := shifted(1)
 	want := []float64{4, 1, 2, 3}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("shift +1 = %v, want %v", got, want)
 		}
 	}
-	got = circularShift(x, -1)
+	got = shifted(-1)
 	want = []float64{2, 3, 4, 1}
 	for i := range want {
 		if got[i] != want[i] {
@@ -317,7 +323,7 @@ func TestCircularShift(t *testing.T) {
 		}
 	}
 	// Full rotation is identity.
-	got = circularShift(x, 4)
+	got = shifted(4)
 	for i := range x {
 		if got[i] != x[i] {
 			t.Fatalf("shift by length = %v", got)

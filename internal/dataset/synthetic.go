@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Family enumerates the synthetic generator families, chosen to mirror the
@@ -84,7 +85,10 @@ func Generate(cfg Config) *Dataset {
 		for i := 0; i < count; i++ {
 			c := i % cfg.NumClasses // balanced class distribution
 			labels[i] = c + 1       // UCR labels are 1-based
-			series[i] = ZNormalize(distort(protos[c], cfg, rng))
+			// distort returns a fresh series, so it is normalized in place.
+			x := distort(protos[c], cfg, rng)
+			zNormalizeInPlace(x)
+			series[i] = x
 		}
 		return series, labels
 	}
@@ -235,6 +239,7 @@ func prototype(cfg Config, c int, rng *rand.Rand) []float64 {
 
 // distort applies the per-instance distortions: smooth local time warping,
 // circular shift, amplitude jitter, Gaussian noise, and impulsive outliers.
+// It returns a fresh series; proto is never modified.
 func distort(proto []float64, cfg Config, rng *rand.Rand) []float64 {
 	m := len(proto)
 	x := proto
@@ -247,7 +252,7 @@ func distort(proto []float64, cfg Config, rng *rand.Rand) []float64 {
 		maxShift := int(cfg.ShiftFrac * float64(m))
 		if maxShift > 0 {
 			shift := rng.Intn(2*maxShift+1) - maxShift
-			x = circularShift(x, shift)
+			rotate(x, shift)
 		}
 	}
 	amp := 1.0
@@ -302,21 +307,17 @@ func warp(x []float64, strength float64, rng *rand.Rand) []float64 {
 	return out
 }
 
-// circularShift rotates x right by shift positions (left for negative).
-func circularShift(x []float64, shift int) []float64 {
+// rotate circularly shifts x in place, right by shift positions (left for
+// negative), by three reversals.
+func rotate(x []float64, shift int) {
 	m := len(x)
 	if m == 0 {
-		return x
+		return
 	}
 	shift = ((shift % m) + m) % m
-	if shift == 0 {
-		return x
-	}
-	out := make([]float64, m)
-	for i := range x {
-		out[(i+shift)%m] = x[i]
-	}
-	return out
+	slices.Reverse(x)
+	slices.Reverse(x[:shift])
+	slices.Reverse(x[shift:])
 }
 
 func movingAverage(x []float64, w int) []float64 {

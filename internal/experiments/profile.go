@@ -15,7 +15,7 @@ import (
 
 // ProfileRow is one join of the matrix-profile ablation: a baseline
 // formulation (STAMP's one-FFT-per-row scan or the naive per-pair window
-// scan) against the STOMP streaming engine on the same planted-pattern
+// scan) against the tile-walk engine on the same planted-pattern
 // series, with the recovered motif pair and discord offset as the
 // deterministic payload and Agree asserting the two formulations computed
 // the same profile.
@@ -275,7 +275,7 @@ func ProfileExperimentCtx(ctx context.Context, opts Options, rep run.Reporter) (
 	})
 	task.Step("ab-join")
 
-	// Anytime mode: the shuffled block schedule against the in-order one.
+	// Anytime mode: the shuffled row-block schedule against the in-order one.
 	// Left uncancelled the two must be bitwise identical, so Agree here is
 	// exact equality of values and neighbor indices.
 	if err := ctx.Err(); err != nil {

@@ -8,16 +8,17 @@ import (
 	"repro/internal/profile"
 )
 
-// The matrix-profile oracle: the STOMP streaming engine differentially
-// checked against a naive sliding-scan join that recomputes every
-// window-pair distance from scratch — no FFT, no streamed cross terms, no
-// shared moments. Agreement is TolFFT (the engine's leading rows ride the
-// FFT cross-correlation); claimed nearest-neighbor pairs additionally
+// The matrix-profile oracle: the tile-walk engine differentially checked
+// against a naive sliding-scan join that recomputes every window-pair
+// distance from scratch — no streamed cross terms, no shared moments.
+// Agreement is TolFFT (the engine streams its cross terms along tile
+// diagonals, so it differs from direct sums by accumulation order);
+// claimed nearest-neighbor pairs additionally
 // recompute to their reported distance directly.
 
 // profileWindows are the window lengths each corpus input is joined at
 // (filtered to w <= n per input): the minimum legal window, odd/even zone
-// radii, and one long enough to cross the engine's 3-row block seams many
+// radii, and one long enough to cross the engine's 3-row tile seams many
 // times.
 var profileWindows = []int{2, 3, 5, 16}
 
@@ -135,7 +136,7 @@ func naiveProfileJoin(a, b []float64, w int, ref func(x, y []float64) float64, s
 }
 
 // agreeProfile compares two profile distances on their squares as well:
-// the FFT error lives in the dot-product cross term, which the squared
+// the streaming error lives in the cross term, which the squared
 // distance is linear in, while the final square root amplifies rounding
 // near zero — a self-match whose correlation is within 1e-12 of exact
 // surfaces as ~1e-5 of distance residue, far over TolFFT on the raw
@@ -223,10 +224,10 @@ func checkProfileCancelled(r *Report, in Input, w int) {
 
 // FuzzProfile runs the matrix-profile differential for one seed: every
 // corpus input at every applicable window length, each measure through one
-// reused engine (BlockRows 3 forces many block seams and leading-row
-// re-seeds), self-join and AB-join both. Extreme-magnitude inputs are
-// skipped — their squared cross terms overflow through the FFT seed, the
-// same reason FiniteOnly measures skip them.
+// reused engine (3-row tiles force many tile seams and re-seeded
+// diagonals), self-join and AB-join both. Extreme-magnitude inputs are
+// skipped — their squared cross terms overflow, the same reason
+// FiniteOnly measures skip them.
 func FuzzProfile(r *Report, seed int64) {
 	corpus := Corpus(seed)
 	for _, p := range profilePairs() {

@@ -9,8 +9,9 @@ import (
 	"repro/internal/subsequence"
 )
 
-// The profile benchmarks pin the acceptance gate of the streaming engine:
-// STOMP (streamed O(n^2) dot products, block-parallel) against the STAMP
+// The profile benchmarks pin the acceptance gate of the matrix-profile
+// engine: the tile walk (streamed O(n^2) cross terms, tile-parallel; the
+// benchmark names keep their original STOMP label) against the STAMP
 // baseline (one FFT scan per row, already hoisted onto a shared plan) on
 // the same n=4096 self-join. BenchmarkProfile... names are recorded in
 // BENCH_profile.json by `make bench` and gated by `make bench-compare`.

@@ -7,39 +7,35 @@ import (
 	"math/rand"
 	"sync"
 
-	"repro/internal/fft"
 	"repro/internal/par"
 )
 
-// DefaultBlockRows is the default number of profile rows per dispatch
-// block. Each block seeds its leading row independently (one FFT scan for
-// dot-product measures), so smaller blocks buy cancellation granularity
-// and load balance at the price of more seeds; 64 amortizes the seed to
-// well under the streamed rows it unlocks while keeping hundreds of
-// blocks in flight at engine scale.
-const DefaultBlockRows = 64
+// DefaultBlockRows is the default tile edge. Small tiles pay more O(w)
+// diagonal seeds per streamed cell; large ones coarsen cancellation and
+// load balance. On a 2-vCPU Xeon (go1.24, two workers) 1024 was fastest
+// at n = 4096, w = 256 and within noise of 2048 at n = 16384, w = 128;
+// 512 was 20-40% slower on both.
+const DefaultBlockRows = 1024
 
 // Options configures an Engine.
 type Options struct {
 	// Measure selects the profile distance; nil means ZNormEuclidean().
 	Measure Measure
 	// Workers caps dispatch parallelism; 0 means par.Workers over the
-	// block count. 1 pins the serial path (allocation-free warm).
+	// tile count. 1 pins the serial path (allocation-free warm).
 	Workers int
-	// BlockRows overrides DefaultBlockRows. The block layout only affects
-	// scheduling, never values: every row is computed from its own
-	// block-local stream, so results are bitwise identical across block
-	// sizes and worker counts.
+	// BlockRows overrides DefaultBlockRows as the tile edge. Results are
+	// identical across worker counts and schedules for a given edge; the
+	// edge moves where diagonals are seeded, so values depend on it only
+	// within the streaming tolerance.
 	BlockRows int
-	// Anytime dispatches blocks in a deterministic shuffled order, so a
-	// cancelled run's completed rows spread across the whole profile and
-	// the partial result approximates the full join everywhere rather
-	// than covering a prefix.
+	// Anytime dispatches row blocks in a deterministic shuffled order, so
+	// a cancelled run's completed rows spread across the whole profile
+	// instead of covering a prefix.
 	Anytime bool
-	// Progress, when non-nil, is called after every completed block (and
-	// after the partial block a cancellation interrupts) with the total
-	// finished row count; calls are serialized and totals are
-	// non-decreasing. Callers bridge this to run-core task events.
+	// Progress, when non-nil, is called once per finished row block with
+	// the total finished row count; calls are serialized and totals
+	// increase. Callers bridge this to run-core task events.
 	Progress func(doneRows, totalRows int)
 }
 
@@ -47,9 +43,9 @@ type Options struct {
 type Result struct {
 	// Values[i] is the smallest distance from window i of the query
 	// series to any admissible window of the target (+Inf when none —
-	// every candidate excluded or non-finite), and Indices[i] the argmin
-	// window offset (-1 when none). Rows a cancelled run never reached
-	// keep +Inf/-1 with Done[i] false.
+	// every candidate excluded or masked), and Indices[i] the argmin
+	// window offset (-1 when none); ties go to the lowest offset. Rows a
+	// cancelled run did not finish keep +Inf/-1 with Done[i] false.
 	Values  []float64
 	Indices []int
 	// Done marks rows whose Values/Indices entries are final; completed
@@ -65,33 +61,42 @@ type Result struct {
 	Completed float64
 }
 
-// anytimeSeed fixes the block permutation of anytime mode, keeping
+// anytimeSeed fixes the row-block permutation of anytime mode, keeping
 // approximate runs deterministic for a given join size.
 const anytimeSeed = 0x5706
 
-// Engine computes matrix-profile joins, reusing FFT plans, window
-// statistics, and per-worker scratch across calls so warm joins of the
+// tile is row block rb of the query against column block cb of the target.
+type tile struct{ rb, cb int32 }
+
+// Engine computes matrix-profile joins, reusing per-window tables, the
+// tile schedule and per-worker scratch across calls so warm joins of the
 // same shape allocate nothing. An Engine is not safe for concurrent use;
 // each concurrent join needs its own.
 type Engine struct {
 	opts    Options
-	statsA  WindowStats
-	statsB  WindowStats
-	planA   fft.SlidingPlan // query-series spectrum, seeds the j = 0 column
-	planB   fft.SlidingPlan // target-series spectrum, seeds block leading rows
-	col0    []float64
-	cbuf    []complex128
+	ta, tb  tables
+	tiles   []tile
+	left    []int // per row block: tiles still to finish
 	order   []int
-	scratch []*workerScratch
+	queued  []bool
+	scratch []*worker
 
-	mu   sync.Mutex
-	done int
+	// The current join, read by the tile walkers.
+	a, b                *tables
+	w, rows, cols, excl int
+	self                bool
+	done                <-chan struct{}
+	mu                  sync.Mutex
+	doneRows            int
 }
 
-type workerScratch struct {
-	cross []float64
-	dist  []float64
-	cbuf  []complex128
+// worker is one dispatch worker's scratch: its best (score, column) per
+// row, merged across workers when the join ends, plus one tile's
+// diagonal stream and column maxima.
+type worker struct {
+	best, cov, colBest []float64
+	idx, colIdx        []int
+	row                rowScan
 }
 
 // New returns an engine with the given options.
@@ -153,133 +158,88 @@ func (e *Engine) join(ctx context.Context, a, b []float64, w int, self bool, res
 		panic(fmt.Sprintf("profile: window %d out of range for series lengths %d and %d",
 			w, len(a), len(b)))
 	}
-	m := e.opts.Measure
-	rows := len(a) - w + 1
-	cols := len(b) - w + 1
-
-	e.statsA.compute(a, w)
-	sa := &e.statsA
-	sb := sa
-	if !self {
-		e.statsB.compute(b, w)
-		sb = &e.statsB
-	}
-
+	m, edge := e.opts.Measure, e.opts.BlockRows
+	rows, cols := len(a)-w+1, len(b)-w+1
 	excl := 0
 	if self {
-		excl = w / 2
-		if excl < 1 {
-			excl = 1
-		}
+		excl = max(1, w/2)
+	}
+	res.Values, res.Indices, res.Done = resize(res.Values, rows), resize(res.Indices, rows), resize(res.Done, rows)
+	for i := range res.Values {
+		res.Values[i], res.Indices[i], res.Done[i] = math.Inf(1), -1, false
+	}
+	res.Window, res.SelfJoin, res.Exclusion, res.Completed = w, self, excl, 0
+	if ctx != nil && ctx.Err() != nil {
+		return ctx.Err()
 	}
 
-	res.Values = resizeFloat(res.Values, rows)
-	res.Indices = resizeInt(res.Indices, rows)
-	res.Done = resizeBool(res.Done, rows)
-	for i := 0; i < rows; i++ {
-		res.Values[i] = math.Inf(1)
-		res.Indices[i] = -1
-		res.Done[i] = false
+	m.fill(&e.ta, a, w)
+	e.a, e.b = &e.ta, &e.ta
+	if !self {
+		m.fill(&e.tb, b, w)
+		e.b = &e.tb
 	}
-	res.Window = w
-	res.SelfJoin = self
-	res.Exclusion = excl
-	res.Completed = 0
-	e.done = 0
-
-	// FFT row seeding is only sound when every sample is finite: a single
-	// NaN/Inf poisons the whole padded transform, where direct summation
-	// confines it to the windows that contain it.
-	fftSeed := m.DotCross() && !sa.hasNF && !sb.hasNF
-	if fftSeed {
-		e.planB.Reset(b, w)
-		if cap(e.cbuf) < e.planB.PaddedLen() {
-			e.cbuf = make([]complex128, e.planB.PaddedLen())
-		}
+	e.w, e.rows, e.cols, e.excl, e.self = w, rows, cols, excl, self
+	e.done, e.doneRows = nil, 0
+	if ctx != nil {
+		e.done = ctx.Done()
 	}
+	e.schedule()
 
-	// Column seed: cross(a_i, b_0) for every row i — the j = 0 entry the
-	// in-place diagonal recurrence cannot reach. It is b's leading window
-	// scanned against a, so the self-join reuses the target spectrum and
-	// only AB-joins plan the query side.
-	e.col0 = resizeFloat(e.col0, rows)
-	switch {
-	case fftSeed && self:
-		e.planB.SlidingDots(b[:w], e.col0, e.cbuf)
-	case fftSeed:
-		e.planA.Reset(a, w)
-		if cap(e.cbuf) < e.planA.PaddedLen() {
-			e.cbuf = make([]complex128, e.planA.PaddedLen())
-		}
-		e.planA.SlidingDots(b[:w], e.col0, e.cbuf[:e.planA.PaddedLen()])
-	default:
-		for i := 0; i < rows; i++ {
-			e.col0[i] = m.InitCross(a, b, i, 0, w)
-		}
-	}
-
-	blockRows := e.opts.BlockRows
-	blocks := (rows + blockRows - 1) / blockRows
 	workers := e.opts.Workers
 	if workers <= 0 {
-		workers = par.Workers(blocks)
+		workers = par.Workers(len(e.tiles))
 	}
-	if workers > blocks {
-		workers = blocks
-	}
+	workers = min(workers, len(e.tiles))
 	for len(e.scratch) < workers {
-		e.scratch = append(e.scratch, &workerScratch{})
+		e.scratch = append(e.scratch, &worker{})
 	}
 	for _, ws := range e.scratch[:workers] {
-		ws.cross = resizeFloat(ws.cross, cols)
-		ws.dist = resizeFloat(ws.dist, cols)
-		if fftSeed {
-			if cap(ws.cbuf) < e.planB.PaddedLen() {
-				ws.cbuf = make([]complex128, e.planB.PaddedLen())
-			}
-			ws.cbuf = ws.cbuf[:e.planB.PaddedLen()]
+		ws.best, ws.idx = resize(ws.best, rows), resize(ws.idx, rows)
+		for i := range ws.best {
+			ws.best[i], ws.idx[i] = math.Inf(-1), -1
 		}
-	}
-
-	if e.opts.Anytime {
-		e.order = resizeInt(e.order, blocks)
-		rng := rand.New(rand.NewSource(anytimeSeed))
-		for i := range e.order {
-			e.order[i] = i
-		}
-		rng.Shuffle(blocks, func(i, j int) { e.order[i], e.order[j] = e.order[j], e.order[i] })
+		ws.cov = resize(ws.cov, 2*edge)
+		ws.colBest, ws.colIdx = resize(ws.colBest, edge), resize(ws.colIdx, edge)
 	}
 
 	var err error
 	if workers <= 1 {
-		// Inline dispatch: same block order and per-row arithmetic as the
-		// parallel path, without the worker closure, so warm single-worker
-		// joins stay allocation-free.
-		for bi := 0; bi < blocks; bi++ {
-			if ctx != nil && ctx.Err() != nil {
+		// Inline dispatch: the parallel path's tile order and arithmetic
+		// without the worker closure, so warm serial joins allocate nothing.
+		for _, tl := range e.tiles {
+			if e.cancelled() {
 				break
 			}
-			idx := bi
-			if e.opts.Anytime {
-				idx = e.order[bi]
-			}
-			e.runBlock(ctx, e.scratch[0], idx, a, b, w, cols, fftSeed, sa, sb, res)
+			e.runTile(e.scratch[0], tl)
 		}
 		if ctx != nil {
 			err = ctx.Err()
 		}
 	} else {
-		err = par.ForShardCtx(ctx, blocks, workers, func(worker, bi int) {
-			if e.opts.Anytime {
-				bi = e.order[bi]
-			}
-			e.runBlock(ctx, e.scratch[worker], bi, a, b, w, cols, fftSeed, sa, sb, res)
+		err = par.ForShardCtx(ctx, len(e.tiles), workers, func(worker, k int) {
+			e.runTile(e.scratch[worker], e.tiles[k])
 		})
 	}
 
+	// Merge the workers' maxima of every finished row block under the
+	// walk's own rule, so the result does not depend on who walked what.
 	completed := 0
-	for _, d := range res.Done {
-		if d {
+	for rb, left := range e.left {
+		if left != 0 {
+			continue
+		}
+		for i := rb * edge; i < min((rb+1)*edge, rows); i++ {
+			best, bj := math.Inf(-1), -1
+			for _, ws := range e.scratch[:workers] {
+				if better(ws.best[i], ws.idx[i], best, bj) {
+					best, bj = ws.best[i], ws.idx[i]
+				}
+			}
+			if bj >= 0 {
+				res.Values[i], res.Indices[i] = m.distance(best, w), bj
+			}
+			res.Done[i] = true
 			completed++
 		}
 	}
@@ -287,100 +247,122 @@ func (e *Engine) join(ctx context.Context, a, b []float64, w int, self bool, res
 	return err
 }
 
-// runBlock computes rows [bi*BlockRows, min(rows, (bi+1)*BlockRows)): the
-// leading row seeded from scratch, every later row streamed with the O(1)
-// diagonal update. Cancellation is observed between rows, so a cancelled
-// block still leaves every row it finished final.
-func (e *Engine) runBlock(ctx context.Context, ws *workerScratch, bi int, a, b []float64, w, cols int, fftSeed bool, sa, sb *WindowStats, res *Result) {
-	m := e.opts.Measure
-	rows := len(res.Values)
-	r0 := bi * e.opts.BlockRows
-	r1 := r0 + e.opts.BlockRows
-	if r1 > rows {
-		r1 = rows
-	}
-	rowsDone := 0
-	defer func() {
-		if rowsDone == 0 || e.opts.Progress == nil {
-			return
-		}
-		e.mu.Lock()
-		e.done += rowsDone
-		e.opts.Progress(e.done, rows)
-		e.mu.Unlock()
-	}()
-
-	if ctx != nil && ctx.Err() != nil {
-		return
-	}
-	cross := ws.cross
-	if fftSeed {
-		e.planB.SlidingDots(a[r0:r0+w], cross, ws.cbuf)
-	} else {
-		for j := 0; j < cols; j++ {
-			cross[j] = m.InitCross(a, b, r0, j, w)
-		}
-	}
-	e.finalizeRow(r0, cross, ws.dist[:cols], sa, sb, res)
-	rowsDone++
-
-	repair := sa.hasNF || sb.hasNF
-	for i := r0 + 1; i < r1; i++ {
-		if ctx != nil && ctx.Err() != nil {
-			return
-		}
-		m.UpdateRow(cross, a, b, i, w, cols)
-		cross[0] = e.col0[i]
-		if repair {
-			e.repairRow(cross, a, b, i, w, cols, sa, sb)
-		}
-		e.finalizeRow(i, cross, ws.dist[:cols], sa, sb, res)
-		rowsDone++
-	}
+// better reports whether score s at index j beats the incumbent (best,
+// bj): a higher score, or an equal one at a lower index. NaN never wins.
+func better(s float64, j int, best float64, bj int) bool {
+	return s > best || (s == best && j >= 0 && j < bj)
 }
 
-// repairRow recomputes streamed cross terms whose O(1) recurrence passed
-// through non-finite samples: a cell is suspect when its own windows or
-// its diagonal predecessor's contain NaN/Inf (the recurrence subtracts
-// the dropped product, so Inf-Inf leaves NaN in an otherwise clean cell).
-// Direct summation restores the exact value; clean cells are untouched,
-// keeping the amortized cost O(1) per cell when poison is sparse.
-func (e *Engine) repairRow(cross []float64, a, b []float64, i, w, cols int, sa, sb *WindowStats) {
-	m := e.opts.Measure
-	if sa.poisoned(i) || sa.poisoned(i-1) {
-		for j := 1; j < cols; j++ {
-			cross[j] = m.InitCross(a, b, i, j, w)
-		}
-		return
+// schedule lists the tiles in dispatch order and counts, per row block,
+// the tiles that must finish before its rows are final: for a self-join
+// the tiles (r, b), r < b, and (b, c), c >= b, of the upper triangle (even
+// ones the exclusion zone empties); for an AB-join the tiles (b, c). In
+// order, tiles go row-block-major, so finished rows form a prefix; in
+// anytime mode, row blocks come in a fixed shuffled order, each bringing
+// its tiles not yet queued.
+func (e *Engine) schedule() {
+	edge := e.opts.BlockRows
+	rowBlocks, colBlocks := (e.rows+edge-1)/edge, (e.cols+edge-1)/edge
+	e.left, e.order, e.queued = resize(e.left, rowBlocks), resize(e.order, rowBlocks), resize(e.queued, rowBlocks)
+	for rb := range e.order {
+		e.order[rb], e.queued[rb] = rb, false
 	}
-	for j := 1; j < cols; j++ {
-		if sb.poisoned(j) || sb.poisoned(j-1) {
-			cross[j] = m.InitCross(a, b, i, j, w)
-		}
+	if e.opts.Anytime {
+		rng := rand.New(rand.NewSource(anytimeSeed))
+		rng.Shuffle(rowBlocks, func(i, j int) { e.order[i], e.order[j] = e.order[j], e.order[i] })
 	}
-}
-
-// finalizeRow maps row i's cross terms to distances and records the row
-// minimum, skipping the self-join exclusion zone and NaN distances (which
-// sanitize to +Inf downstream and can never be a nearest neighbor).
-func (e *Engine) finalizeRow(i int, cross, dist []float64, sa, sb *WindowStats, res *Result) {
-	e.opts.Measure.DistanceRow(cross, dist, i, sa, sb)
-	lo, hi := 0, -1
-	if res.SelfJoin {
-		lo, hi = i-res.Exclusion, i+res.Exclusion
-	}
-	best, bestJ := math.Inf(1), -1
-	for j, d := range dist {
-		if j >= lo && j <= hi {
+	e.tiles = e.tiles[:0]
+	for _, rb := range e.order {
+		e.queued[rb] = true
+		if !e.self {
+			for cb := 0; cb < colBlocks; cb++ {
+				e.tiles = append(e.tiles, tile{int32(rb), int32(cb)})
+			}
+			e.left[rb] = colBlocks
 			continue
 		}
-		if d < best {
-			best, bestJ = d, j
+		e.left[rb] = rowBlocks
+		for ob := 0; ob < rowBlocks; ob++ {
+			if ob == rb || !e.queued[ob] {
+				e.tiles = append(e.tiles, tile{int32(min(rb, ob)), int32(max(rb, ob))})
+			}
 		}
 	}
-	if bestJ >= 0 {
-		res.Values[i] = best
-		res.Indices[i] = bestJ
+}
+
+func (e *Engine) cancelled() bool {
+	select {
+	case <-e.done:
+		return true
+	default:
+		return false
 	}
-	res.Done[i] = true
+}
+
+// runTile walks one tile row by row over the columns j with j - i > excl
+// (self-join) or all of them (AB-join). cov is indexed by diagonal, so a
+// cell advances in place from the one above-left; the top row and left
+// column seed their diagonals. An interrupted tile (cancellation is seen
+// between rows) never counts as finished, so its partial maxima go unread.
+func (e *Engine) runTile(ws *worker, tl tile) {
+	edge, m := e.opts.BlockRows, e.opts.Measure
+	r0, c0 := int(tl.rb)*edge, int(tl.cb)*edge
+	r1, width := min(r0+edge, e.rows), min(c0+edge, e.cols)-c0
+	s := &ws.row
+	*s = rowScan{a: e.a, b: e.b, w: e.w}
+	for t := 0; e.self && t < width; t++ {
+		ws.colBest[t], ws.colIdx[t] = math.Inf(-1), -1
+	}
+	for i := r0; i < r1; i++ {
+		if e.cancelled() {
+			return
+		}
+		lo := 0
+		if e.self {
+			lo = max(0, i+e.excl+1-c0)
+		}
+		if lo >= width {
+			break // later rows start even further right
+		}
+		// Cell (i, c0+t) sits at diagonal slot t + r1-1-i.
+		s.cov = ws.cov[r1-1-i+lo : r1-1-i+width]
+		s.i, s.j0, s.from = i, c0+lo, 0
+		switch {
+		case i == r0:
+			s.from = len(s.cov)
+		case lo == 0:
+			s.from = 1
+		}
+		for t := 0; t < s.from; t++ {
+			s.cov[t] = m.seed(e.a, e.b, i, s.j0+t, e.w)
+		}
+		s.rmax, s.rarg = math.Inf(-1), -1
+		if e.self {
+			s.colBest, s.colIdx = ws.colBest[lo:width], ws.colIdx[lo:width]
+		}
+		m.scan(s)
+		if better(s.rmax, s.rarg, ws.best[i], ws.idx[i]) {
+			ws.best[i], ws.idx[i] = s.rmax, s.rarg
+		}
+	}
+	for t := 0; e.self && t < width; t++ {
+		if j := c0 + t; better(ws.colBest[t], ws.colIdx[t], ws.best[j], ws.idx[j]) {
+			ws.best[j], ws.idx[j] = ws.colBest[t], ws.colIdx[t]
+		}
+	}
+
+	// Retire the tile from its blocks' counts.
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for k, rb := range [2]int{int(tl.rb), int(tl.cb)} {
+		if k == 1 && (!e.self || tl.cb == tl.rb) {
+			break
+		}
+		if e.left[rb]--; e.left[rb] == 0 {
+			e.doneRows += min((rb+1)*edge, e.rows) - rb*edge
+			if e.opts.Progress != nil {
+				e.opts.Progress(e.doneRows, e.rows)
+			}
+		}
+	}
 }

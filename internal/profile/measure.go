@@ -1,16 +1,13 @@
-// Package profile implements STOMP-style streaming matrix-profile
-// computation: all-pairs subsequence similarity joins where the first row
-// of window cross terms is seeded once (by FFT for dot-product measures)
-// and every subsequent row advances with an O(1)-per-cell diagonal update,
-// for O(n^2) total work instead of STAMP's O(n^2 log n) one-FFT-per-row.
-//
-// Following Akbarinia & Villar ("Efficient Matrix Profile Computation
-// Using Different Distance Functions"), the engine is generic over a small
-// profile-measure interface: z-normalized Euclidean distance (the classic
-// matrix profile), non-normalized Euclidean, and p-norm variants all share
-// the same streaming skeleton and differ only in their cross term and
-// finalization. Self-joins apply the standard w/2 trivial-match exclusion
-// zone; AB-joins (query series against target series) apply none.
+// Package profile computes matrix profiles — all-pairs subsequence joins —
+// by a SCAMP-style tile walk over the diagonals of the join matrix
+// (Zimmerman et al., SoCC 2019): each tile seeds its diagonals exactly and
+// advances them at O(1) per cell, O(n^2) in all. A self-join walks only
+// diagonals outside the trivial-match zone (radius w/2) and credits each
+// cell to both windows; an AB-join (query against target) walks all cells.
+// As in Akbarinia & Villar ("Efficient Matrix Profile Computation Using
+// Different Distance Functions"), the measure is pluggable: z-normalized
+// Euclidean (compared as correlation), Euclidean and p-norms, each with a
+// kernel per tile row, never a dispatch per cell.
 package profile
 
 import (
@@ -18,226 +15,241 @@ import (
 	"math"
 )
 
-// Measure is the pluggable distance of the matrix-profile engine: a
-// per-window-pair cross term with an O(1) diagonal recurrence (drop the
-// leading sample pair, add the trailing one) plus a finalization from the
-// cross term and precomputed window moments to a distance. The engine
-// streams cross terms row by row and the measure finalizes whole rows, so
-// the O(n^2) inner loops pay no per-cell interface dispatch.
+// Measure is the distance of the matrix-profile engine; only the
+// constructors below provide one. Every kernel maximizes a score (the
+// correlation, minus half the squared Euclidean distance, minus the p-norm
+// power sum), and each row's best score becomes a distance once, at the
+// end of the join.
 type Measure interface {
 	Name() string
-
-	// InitCross computes the cross term of a[i:i+w] vs b[j:j+w] by direct
-	// O(w) summation. The engine uses it to seed block leading rows and
-	// the j = 0 column, and to repair cells whose streamed value passed
-	// through non-finite samples.
-	InitCross(a, b []float64, i, j, w int) float64
-
-	// UpdateRow advances cross in place from row i-1 to row i for columns
-	// [1, cols): iterating j downward, cross[j] becomes cross[j-1] minus
-	// the dropped leading term plus the new trailing term, so no second
-	// buffer is needed. The j = 0 column has no diagonal predecessor and
-	// is the caller's responsibility.
-	UpdateRow(cross []float64, a, b []float64, i, w, cols int)
-
-	// Distance finalizes the cross term of the single cell (i, j).
-	Distance(cross float64, i, j int, sa, sb *WindowStats) float64
-
-	// DistanceRow finalizes a whole row i of cross terms into dst (same
-	// length), the batched form of Distance.
-	DistanceRow(cross, dst []float64, i int, sa, sb *WindowStats)
-
-	// DotCross reports whether the cross term is the plain sliding dot
-	// product, letting the engine seed leading rows with one FFT
-	// cross-correlation instead of direct summation.
-	DotCross() bool
+	// fill computes the per-window tables of x at window w.
+	fill(t *tables, x []float64, w int)
+	// seed computes the cross term of windows a_i and b_j directly.
+	seed(a, b *tables, i, j, w int) float64
+	// scan advances and scores one tile row; see rowScan.
+	scan(s *rowScan)
+	// distance maps a row's best score to its distance.
+	distance(score float64, w int) float64
 }
 
-// WindowStats holds the precomputed per-window statistics of one series at
-// a fixed window length: the running-sum moments the measures finalize
-// distances from, the zero-variance flags behind the z-normalized ceiling
-// convention, and non-finite prefix counts the engine uses to repair
-// streamed cross terms around NaN/Inf samples.
-type WindowStats struct {
-	W     int
-	Mean  []float64 // per-window mean
-	Std   []float64 // per-window standard deviation
-	SumSq []float64 // per-window sum of squares
-	Const []bool    // zero-variance windows (relative-epsilon test)
-	nf    []int     // prefix counts of non-finite samples, length n+1
-	hasNF bool
+// tables holds one series' per-window quantities at a fixed window, all
+// from x, the series with non-finite samples replaced by 0 so the streams
+// stay finite. df and dg are SCAMP's update terms for the step from window
+// i-1 to i (index 0 holds 0), with which the centred cross term advances
+// along a diagonal as
+//
+//	cov(i, j) = cov(i-1, j-1) + df_a[i]·dg_b[j] + dg_a[i]·df_b[j].
+//
+// u is the measure's per-window score term, NaN for windows that held a
+// non-finite sample: every score such a window touches is then NaN, and
+// NaN never wins a comparison, so masked windows are never claimed.
+type tables struct {
+	x, mean, df, dg, u []float64
+	meanSq             []float64 // Σx²/w, for the constancy test
 }
 
-// compute fills the tables for series x at window w, reusing backing
-// arrays. The running-sum recurrences and the constancy predicate mirror
-// subsequence.DistanceProfile, so both layers agree on which windows are
-// constant.
-func (s *WindowStats) compute(x []float64, w int) {
-	n := len(x)
-	wins := n - w + 1
-	s.W = w
-	s.Mean = resizeFloat(s.Mean, wins)
-	s.Std = resizeFloat(s.Std, wins)
-	s.SumSq = resizeFloat(s.SumSq, wins)
-	s.Const = resizeBool(s.Const, wins)
-	s.nf = resizeInt(s.nf, n+1)
-	s.nf[0] = 0
-	s.hasNF = false
-	for i, v := range x {
-		c := s.nf[i]
+// moments fills the tables with u holding the centred norm Σ(x-mean)², by
+// direct two-pass sums per window: bitwise-equal windows get bitwise-equal
+// tables, and no running-sum drift reaches the constancy test.
+func (t *tables) moments(x []float64, w int) {
+	n, wins := len(x), len(x)-w+1
+	t.x, t.u = resize(t.x, n), resize(t.u, wins)
+	t.mean, t.meanSq = resize(t.mean, wins), resize(t.meanSq, wins)
+	t.df, t.dg = resize(t.df, wins), resize(t.dg, wins)
+	lastBad := -1
+	for k, v := range x {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			c++
-			s.hasNF = true
+			v, lastBad = 0, k
 		}
-		s.nf[i+1] = c
-	}
-	var sum, sumSq float64
-	for i := 0; i < wins; i++ {
-		switch {
-		case i == 0 || (s.hasNF && s.poisoned(i-1)):
-			// (Re)build the sums directly: the running recurrence cannot
-			// recover after dropping a non-finite sample — NaN minus NaN
-			// stays NaN — so every window after a poisoned one restarts.
-			sum, sumSq = 0, 0
-			for k := i; k < i+w; k++ {
-				sum += x[k]
-				sumSq += x[k] * x[k]
+		t.x[k] = v
+		if i := k - w + 1; i >= 0 {
+			t.u[i] = 0 // the mask term: NaN when window i held a bad sample
+			if lastBad >= i {
+				t.u[i] = math.NaN()
 			}
-		default:
-			sum += x[i+w-1] - x[i-1]
-			sumSq += x[i+w-1]*x[i+w-1] - x[i-1]*x[i-1]
 		}
-		mean := sum / float64(w)
-		meanSq := sumSq / float64(w)
-		v := meanSq - mean*mean
-		if v < 0 {
-			v = 0
+	}
+	fw := float64(w)
+	for i := range t.u {
+		var sum float64
+		for _, v := range t.x[i : i+w] {
+			sum += v
 		}
-		s.Mean[i] = mean
-		s.Std[i] = math.Sqrt(v)
-		s.SumSq[i] = sumSq
-		s.Const[i] = isConstantVar(v, meanSq)
+		mean := sum / fw
+		var c, sq float64
+		for _, v := range t.x[i : i+w] {
+			c += (v - mean) * (v - mean)
+			sq += v * v
+		}
+		t.mean[i], t.meanSq[i] = mean, sq/fw
+		t.u[i] += c
+	}
+	t.df[0], t.dg[0] = 0, 0
+	for i := 1; i < wins; i++ {
+		add, drop := t.x[i+w-1], t.x[i-1]
+		t.df[i] = (add - drop) / 2
+		t.dg[i] = (add - t.mean[i]) + (drop - t.mean[i-1])
 	}
 }
 
-// poisoned reports whether window i contains a non-finite sample.
-func (s *WindowStats) poisoned(i int) bool { return s.nf[i+s.W]-s.nf[i] > 0 }
+// centred provides the direct seed of the measures that stream the
+// centred cross term: Σ(a-mean_a)(b-mean_b), with four accumulators.
+type centred struct{}
 
-// isConstantVar reports whether a window variance is zero up to the
-// rounding noise of the running-sum computation, relative to the window's
-// mean square (the subsequence-layer convention).
-func isConstantVar(variance, meanSq float64) bool {
-	return variance <= 1e-12*(meanSq+1)
-}
-
-// dotCross is the cross-term kernel shared by the dot-product measures.
-type dotCross struct{}
-
-func (dotCross) DotCross() bool { return true }
-
-func (dotCross) InitCross(a, b []float64, i, j, w int) float64 {
-	var dot float64
-	for k := 0; k < w; k++ {
-		dot += a[i+k] * b[j+k]
+func (centred) seed(a, b *tables, i, j, w int) float64 {
+	x, y := a.x[i:i+w:i+w], b.x[j:j+w:j+w]
+	ma, mb := a.mean[i], b.mean[j]
+	var s0, s1, s2, s3 float64
+	for len(x) >= 4 && len(y) >= 4 {
+		s0 += (x[0] - ma) * (y[0] - mb)
+		s1 += (x[1] - ma) * (y[1] - mb)
+		s2 += (x[2] - ma) * (y[2] - mb)
+		s3 += (x[3] - ma) * (y[3] - mb)
+		x, y = x[4:], y[4:]
 	}
-	return dot
+	for k := range x {
+		s0 += (x[k] - ma) * (y[k] - mb)
+	}
+	return (s0 + s1) + (s2 + s3)
 }
 
-func (dotCross) UpdateRow(cross []float64, a, b []float64, i, w, cols int) {
-	drop := a[i-1]
-	add := a[i+w-1]
-	for j := cols - 1; j >= 1; j-- {
-		cross[j] = cross[j-1] - drop*b[j-1] + add*b[j+w-1]
+// rowScan is one tile row for a kernel: row i against columns j0, j0+1, …
+// with cross terms cov, of which [0, from) were just seeded and the rest
+// advance from their diagonal predecessors. The kernel raises rmax/rarg
+// to the row's best (score, column) and, for self-joins (colBest non-nil),
+// colBest[t]/colIdx[t] to column t's best (score, row). Only a strictly
+// greater score wins, so ties keep the lowest index.
+type rowScan struct {
+	a, b           *tables
+	w, i, j0, from int
+	cov, colBest   []float64
+	colIdx         []int
+	rmax           float64
+	rarg           int
+}
+
+// score folds cell t's score into the row and column maxima (the colder
+// kernels' form; the z-normalized kernel fuses it).
+func (s *rowScan) score(t int, r float64) {
+	if r > s.rmax {
+		s.rmax, s.rarg = r, s.j0+t
+	}
+	if s.colBest != nil && r > s.colBest[t] {
+		s.colBest[t], s.colIdx[t] = r, s.i
 	}
 }
 
-type zNormEuclidean struct{ dotCross }
+type zNormEuclidean struct{ centred }
 
 // ZNormEuclidean returns the classic matrix-profile measure: z-normalized
-// Euclidean distance, finalized from the sliding dot product through the
-// MASS identity sqrt(2w(1-corr)) with the sqrt(2w) ceiling for
-// zero-variance windows (the subsequence-layer convention).
+// Euclidean distance. Cells compare by Pearson correlation cov·inv_i·inv_j
+// (inv the inverse centred norm), and each row's best becomes a distance
+// through the MASS identity sqrt(2w(1-corr)). Zero-variance windows have
+// inv = 0, so their correlation is 0 and their distance the sqrt(2w)
+// ceiling (the subsequence-layer convention).
 func ZNormEuclidean() Measure { return zNormEuclidean{} }
 
 func (zNormEuclidean) Name() string { return "znorm-euclidean" }
 
-func (zNormEuclidean) Distance(cross float64, i, j int, sa, sb *WindowStats) float64 {
-	w := float64(sa.W)
-	if sa.Const[i] || sb.Const[j] {
-		return math.Sqrt(2 * w)
-	}
-	corr := (cross - w*sa.Mean[i]*sb.Mean[j]) / (w * sa.Std[i] * sb.Std[j])
-	if corr > 1 {
-		corr = 1
-	}
-	if corr < -1 {
-		corr = -1
-	}
-	return math.Sqrt(2 * w * (1 - corr))
-}
-
-func (zNormEuclidean) DistanceRow(cross, dst []float64, i int, sa, sb *WindowStats) {
-	w := float64(sa.W)
-	maxDist := math.Sqrt(2 * w)
-	if sa.Const[i] {
-		for j := range dst {
-			dst[j] = maxDist
+func (zNormEuclidean) fill(t *tables, x []float64, w int) {
+	t.moments(x, w)
+	for i, c := range t.u {
+		t.u[i] = 1 / math.Sqrt(c) // a masked window's NaN stays NaN
+		if isConstantVar(c/float64(w), t.meanSq[i]) {
+			t.u[i] = 0
 		}
-		return
-	}
-	am, as := sa.Mean[i], sa.Std[i]
-	for j := range dst {
-		if sb.Const[j] {
-			dst[j] = maxDist
-			continue
-		}
-		corr := (cross[j] - w*am*sb.Mean[j]) / (w * as * sb.Std[j])
-		if corr > 1 {
-			corr = 1
-		}
-		if corr < -1 {
-			corr = -1
-		}
-		dst[j] = math.Sqrt(2 * w * (1 - corr))
 	}
 }
 
-type euclidean struct{ dotCross }
+func (zNormEuclidean) scan(s *rowScan) {
+	a, b, i, n := s.a, s.b, s.i, len(s.cov)
+	dg, df, u := b.dg[s.j0:s.j0+n], b.df[s.j0:s.j0+n], b.u[s.j0:s.j0+n]
+	// Seeded cells ride the same loop with zero update terms, which leave
+	// a finite cross term bitwise unchanged.
+	s.rmax, s.rarg = znRow(s, 0, s.from, dg, df, u, 0, 0, a.u[i])
+	s.rmax, s.rarg = znRow(s, s.from, n, dg, df, u, a.df[i], a.dg[i], a.u[i])
+}
 
-// Euclidean returns the non-normalized Euclidean profile measure
-// (Akbarinia & Villar's first generalization): distances come from the
-// same streamed dot products through
-// sqrt(||a||^2 + ||b||^2 - 2 dot), clamped at zero against rounding.
+// znRow is the z-normalized kernel over cells [lo, hi) of a row.
+func znRow(s *rowScan, lo, hi int, dg, df, u []float64, dfi, dgi, ui float64) (float64, int) {
+	rmax, rarg := s.rmax, s.rarg
+	cov := s.cov[lo:hi]
+	n := len(cov)
+	dg, df, u = dg[lo:lo+n], df[lo:lo+n], u[lo:lo+n]
+	j0 := s.j0 + lo
+	if s.colBest == nil {
+		for t := range cov {
+			c := cov[t] + dfi*dg[t] + dgi*df[t]
+			cov[t] = c
+			if r := c * ui * u[t]; r > rmax {
+				rmax, rarg = r, j0+t
+			}
+		}
+		return rmax, rarg
+	}
+	cb, ci := s.colBest[lo:lo+n], s.colIdx[lo:lo+n]
+	i := s.i
+	for t := range cov {
+		c := cov[t] + dfi*dg[t] + dgi*df[t]
+		cov[t] = c
+		r := c * ui * u[t]
+		if r > rmax {
+			rmax, rarg = r, j0+t
+		}
+		if r > cb[t] {
+			cb[t], ci[t] = r, i
+		}
+	}
+	return rmax, rarg
+}
+
+func (zNormEuclidean) distance(score float64, w int) float64 {
+	return math.Sqrt(2 * float64(w) * (1 - max(-1, min(1, score))))
+}
+
+type euclidean struct{ centred }
+
+// Euclidean returns the non-normalized Euclidean profile measure (Akbarinia
+// & Villar's first generalization). It streams the centred cross term and
+// scores a cell by minus half its squared distance,
+// cov - cn_i/2 - cn_j/2 - (w/2)(mean_i - mean_j)² with cn the centred
+// norm, which avoids the cancellation of ||a||² + ||b||² - 2·dot on series
+// with a large offset.
 func Euclidean() Measure { return euclidean{} }
 
 func (euclidean) Name() string { return "euclidean" }
 
-func (euclidean) Distance(cross float64, i, j int, sa, sb *WindowStats) float64 {
-	d := sa.SumSq[i] + sb.SumSq[j] - 2*cross
-	if d < 0 {
-		d = 0
+func (euclidean) fill(t *tables, x []float64, w int) {
+	t.moments(x, w)
+	for i := range t.u {
+		t.u[i] /= 2
 	}
-	return math.Sqrt(d)
 }
 
-func (euclidean) DistanceRow(cross, dst []float64, i int, sa, sb *WindowStats) {
-	ss := sa.SumSq[i]
-	for j := range dst {
-		d := ss + sb.SumSq[j] - 2*cross[j]
-		if d < 0 {
-			d = 0
+func (euclidean) scan(s *rowScan) {
+	a, b, i, n := s.a, s.b, s.i, len(s.cov)
+	dg, df, h, mean := b.dg[s.j0:s.j0+n], b.df[s.j0:s.j0+n], b.u[s.j0:s.j0+n], b.mean[s.j0:s.j0+n]
+	hw, hi, mi := float64(s.w)/2, a.u[i], a.mean[i]
+	dfi, dgi := 0.0, 0.0 // seeded cells take zero update terms
+	for t := range s.cov {
+		if t == s.from {
+			dfi, dgi = a.df[i], a.dg[i]
 		}
-		dst[j] = math.Sqrt(d)
+		c := s.cov[t] + dfi*dg[t] + dgi*df[t]
+		s.cov[t] = c
+		dm := mi - mean[t]
+		s.score(t, c-hi-h[t]-hw*dm*dm)
 	}
 }
+
+func (euclidean) distance(score float64, w int) float64 { return math.Sqrt(max(0, -2*score)) }
 
 type pNorm struct{ p float64 }
 
 // PNorm returns the order-p Minkowski profile measure over raw windows,
-// streamed through the |a-b|^p power sums directly (the Akbarinia & Villar
-// p-norm recurrence): shifting both windows one step drops the leading
-// term and adds the trailing one, so no dot product is involved and
-// leading rows are seeded by direct summation rather than FFT.
+// streamed through the |a-b|^p power sums directly (the Akbarinia &
+// Villar p-norm recurrence): shifting both windows one step drops the
+// leading term and adds the trailing one.
 func PNorm(p float64) Measure {
 	if p <= 0 || math.IsNaN(p) || math.IsInf(p, 0) {
 		panic(fmt.Sprintf("profile: p-norm order %v out of range", p))
@@ -245,8 +257,7 @@ func PNorm(p float64) Measure {
 	return pNorm{p: p}
 }
 
-func (m pNorm) Name() string   { return fmt.Sprintf("pnorm-%g", m.p) }
-func (m pNorm) DotCross() bool { return false }
+func (m pNorm) Name() string { return fmt.Sprintf("pnorm-%g", m.p) }
 
 func (m pNorm) pow(d float64) float64 {
 	switch m.p {
@@ -262,68 +273,66 @@ func (m pNorm) pow(d float64) float64 {
 	}
 }
 
-// dist is the cross-to-distance finalization: the p-th root, with small
-// negative power sums (streaming cancellation noise) clamped to zero. NaN
-// passes through untouched for the engine's sanitized-skip semantics.
-func (m pNorm) dist(cross float64) float64 {
-	if cross < 0 {
-		cross = 0
-	}
-	switch m.p {
-	case 1:
-		return cross
-	case 2:
-		return math.Sqrt(cross)
-	case 3:
-		return math.Cbrt(cross)
-	default:
-		return math.Pow(cross, 1/m.p)
+func (pNorm) fill(t *tables, x []float64, w int) {
+	t.moments(x, w)
+	for i, c := range t.u {
+		if !math.IsNaN(c) {
+			t.u[i] = 0 // keep only the mask
+		}
 	}
 }
 
-func (m pNorm) InitCross(a, b []float64, i, j, w int) float64 {
+func (m pNorm) seed(a, b *tables, i, j, w int) float64 {
 	var s float64
-	for k := 0; k < w; k++ {
-		s += m.pow(a[i+k] - b[j+k])
+	for k, v := range a.x[i : i+w] {
+		s += m.pow(v - b.x[j+k])
 	}
 	return s
 }
 
-func (m pNorm) UpdateRow(cross []float64, a, b []float64, i, w, cols int) {
-	drop := a[i-1]
-	add := a[i+w-1]
-	for j := cols - 1; j >= 1; j-- {
-		cross[j] = cross[j-1] - m.pow(drop-b[j-1]) + m.pow(add-b[j+w-1])
+func (m pNorm) scan(s *rowScan) {
+	a, b, i, w := s.a, s.b, s.i, s.w
+	if s.from < len(s.cov) {
+		// Cell (i, j) drops the pair (i-1, j-1) and adds (i+w-1, j+w-1);
+		// bx starts at the first streamed cell's dropped sample.
+		add, drop := a.x[i+w-1], a.x[i-1]
+		bx := b.x[s.j0+s.from-1:]
+		for k, c := range s.cov[s.from:] {
+			s.cov[s.from+k] = c + m.pow(add-bx[k+w]) - m.pow(drop-bx[k])
+		}
+	}
+	v := b.u[s.j0 : s.j0+len(s.cov)]
+	for t, c := range s.cov {
+		s.score(t, a.u[i]+v[t]-c)
 	}
 }
 
-func (m pNorm) Distance(cross float64, i, j int, sa, sb *WindowStats) float64 {
-	return m.dist(cross)
-}
-
-func (m pNorm) DistanceRow(cross, dst []float64, i int, sa, sb *WindowStats) {
-	for j := range dst {
-		dst[j] = m.dist(cross[j])
+// distance takes the p-th root of the best power sum, with small negative
+// sums (streaming cancellation noise) clamped to zero.
+func (m pNorm) distance(score float64, w int) float64 {
+	s := max(0, -score)
+	switch m.p {
+	case 1:
+		return s
+	case 2:
+		return math.Sqrt(s)
+	case 3:
+		return math.Cbrt(s)
+	default:
+		return math.Pow(s, 1/m.p)
 	}
 }
 
-func resizeFloat(s []float64, n int) []float64 {
+// isConstantVar reports whether a window variance is zero up to rounding
+// noise, relative to the window's mean square (the subsequence-layer
+// convention).
+func isConstantVar(variance, meanSq float64) bool {
+	return variance <= 1e-12*(meanSq+1)
+}
+
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func resizeInt(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func resizeBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

@@ -4,8 +4,8 @@
 // query and every subsequence of a long series in O(n log n) — the
 // "fastest similarity search" primitive the paper cites when discussing
 // ED's role in time-series querying (Section 2, M2) — plus the matrix
-// profile built on it. The self-join profile is computed by the STOMP
-// streaming engine in internal/profile; the one-FFT-per-row STAMP
+// profile built on it. The self-join profile is computed by the
+// tile-walk engine in internal/profile; the one-FFT-per-row STAMP
 // formulation is kept as MatrixProfileSTAMP, the exact baseline the
 // engine is benchmarked and cross-checked against.
 package subsequence
@@ -201,8 +201,8 @@ func TopK(t, q []float64, k int) []Match {
 // for every subsequence, the z-normalized ED to its nearest non-trivial
 // neighbor (exclusion zone of max(1, w/2) around each position), plus the
 // neighbor's offset; entries with no admissible neighbor are +Inf with
-// index -1. It is a thin exact wrapper over the STOMP streaming engine in
-// internal/profile (O(n^2) streamed dot products; see MatrixProfileSTAMP
+// index -1. It is a thin wrapper over the tile-walk engine in
+// internal/profile (O(n^2) streamed cross terms; see MatrixProfileSTAMP
 // for the O(n^2 log n) per-row-FFT baseline). The matrix profile
 // underpins motif discovery and anomaly detection, two of the paper's
 // motivating tasks.

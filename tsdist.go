@@ -29,6 +29,9 @@ package repro
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"math"
 
 	"repro/internal/ann"
 	"repro/internal/dataset"
@@ -551,30 +554,68 @@ func DistanceProfile(t, q []float64) []float64 { return subsequence.DistanceProf
 // TopKMatches returns the k best non-overlapping matches of q in t.
 func TopKMatches(t, q []float64, k int) []SubsequenceMatch { return subsequence.TopK(t, q, k) }
 
+// checkWindow reports an error unless every series is non-empty and the
+// subsequence window lies in [2, len] for each of them.
+func checkWindow(w int, series ...[]float64) error {
+	for _, s := range series {
+		if len(s) == 0 {
+			return errors.New("repro: empty series")
+		}
+		if w < 2 || w > len(s) {
+			return fmt.Errorf("repro: window %d outside [2, %d]", w, len(s))
+		}
+	}
+	return nil
+}
+
 // MatrixProfile computes the self-join matrix profile of t for window w:
 // each subsequence's z-normalized distance to its nearest non-trivial
 // neighbor, the primitive behind motif discovery and anomaly detection.
-// It runs on the STOMP streaming engine (internal/profile), O(n^2) total
-// work instead of STAMP's O(n^2 log n).
-func MatrixProfile(t []float64, w int) (profile []float64, index []int) {
-	return subsequence.MatrixProfile(t, w)
+// It runs on the tile-walk engine (internal/profile), O(n^2) total work
+// instead of STAMP's O(n^2 log n). It returns an error when t is empty or
+// w lies outside [2, len(t)].
+func MatrixProfile(t []float64, w int) (profile []float64, index []int, err error) {
+	if err := checkWindow(w, t); err != nil {
+		return nil, nil, err
+	}
+	profile, index = subsequence.MatrixProfile(t, w)
+	return profile, index, nil
 }
 
 // ABMatrixProfile computes the AB-join matrix profile: for each window of
 // a, its z-normalized distance to the nearest window of b, with no
-// exclusion zone (the two series are distinct by assumption).
-func ABMatrixProfile(a, b []float64, w int) (profile []float64, index []int) {
-	return subsequence.ABProfile(a, b, w)
+// exclusion zone (the two series are distinct by assumption). It returns
+// an error when either series is empty or shorter than w, or w < 2.
+func ABMatrixProfile(a, b []float64, w int) (profile []float64, index []int, err error) {
+	if err := checkWindow(w, a, b); err != nil {
+		return nil, nil, err
+	}
+	profile, index = subsequence.ABProfile(a, b, w)
+	return profile, index, nil
 }
 
 // Motif returns the best motif pair of t for window w, or (-1, -1, +Inf)
-// when no window has a valid non-trivial neighbor.
-func Motif(t []float64, w int) (i, j int, dist float64) { return subsequence.Motif(t, w) }
+// when no window has a valid non-trivial neighbor. It returns an error
+// when t is empty or w lies outside [2, len(t)].
+func Motif(t []float64, w int) (i, j int, dist float64, err error) {
+	if err := checkWindow(w, t); err != nil {
+		return -1, -1, math.Inf(1), err
+	}
+	i, j, dist = subsequence.Motif(t, w)
+	return i, j, dist, nil
+}
 
 // Discord returns the top anomaly of t for window w, or (-1, +Inf) when
 // every profile entry is undefined (e.g. the exclusion zone covers all
-// neighbors).
-func Discord(t []float64, w int) (offset int, dist float64) { return subsequence.Discord(t, w) }
+// neighbors). It returns an error when t is empty or w lies outside
+// [2, len(t)].
+func Discord(t []float64, w int) (offset int, dist float64, err error) {
+	if err := checkWindow(w, t); err != nil {
+		return -1, math.Inf(1), err
+	}
+	offset, dist = subsequence.Discord(t, w)
+	return offset, dist, nil
+}
 
 //
 // ---- Indexing (the M2 theme: which measures are indexable) ----

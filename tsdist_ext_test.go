@@ -51,16 +51,64 @@ func TestFacadeSubsequenceSearch(t *testing.T) {
 	if len(matches) != 2 || matches[0].Distance > 1e-6 {
 		t.Fatalf("matches = %+v", matches)
 	}
-	mp, idx := MatrixProfile(series, 40)
-	if len(mp) != len(idx) || len(mp) != n-40+1 {
-		t.Fatalf("matrix profile shapes %d/%d", len(mp), len(idx))
+	mp, idx, err := MatrixProfile(series, 40)
+	if err != nil || len(mp) != len(idx) || len(mp) != n-40+1 {
+		t.Fatalf("matrix profile shapes %d/%d, err %v", len(mp), len(idx), err)
 	}
-	i, j, _ := Motif(series, 40)
-	if i == j {
-		t.Fatal("motif pair must be distinct")
+	i, j, _, err := Motif(series, 40)
+	if err != nil || i == j {
+		t.Fatalf("motif pair (%d, %d) must be distinct, err %v", i, j, err)
 	}
-	if off, _ := Discord(series, 40); off < 0 || off >= len(mp) {
-		t.Fatalf("discord offset %d out of range", off)
+	if off, _, err := Discord(series, 40); err != nil || off < 0 || off >= len(mp) {
+		t.Fatalf("discord offset %d out of range, err %v", off, err)
+	}
+	ab, abIdx, err := ABMatrixProfile(q, series, 40)
+	// The series has period 40, so every window at a multiple of 40 matches.
+	if err != nil || len(ab) != 1 || ab[0] > 1e-6 || abIdx[0]%40 != 0 {
+		t.Fatalf("AB-join of the query against the series: %v/%v, err %v", ab, abIdx, err)
+	}
+}
+
+// TestFacadeProfileWindowErrors pins the facade's edge contract: an empty
+// series or a window outside [2, len] is an error, never a panic inside
+// the profile engine.
+func TestFacadeProfileWindowErrors(t *testing.T) {
+	series := []float64{1, 3, 2, 5, 4, 6}
+	for _, tc := range []struct {
+		name string
+		s    []float64
+		w    int
+	}{
+		{"empty", nil, 2},
+		{"window 1", series, 1},
+		{"window 0", series, 0},
+		{"negative window", series, -3},
+		{"window past the end", series, len(series) + 1},
+	} {
+		if _, _, err := MatrixProfile(tc.s, tc.w); err == nil {
+			t.Errorf("MatrixProfile %s: no error", tc.name)
+		}
+		if _, _, err := ABMatrixProfile(tc.s, series, tc.w); err == nil {
+			t.Errorf("ABMatrixProfile %s (query side): no error", tc.name)
+		}
+		if _, _, err := ABMatrixProfile(series, tc.s, tc.w); err == nil {
+			t.Errorf("ABMatrixProfile %s (target side): no error", tc.name)
+		}
+		if i, j, d, err := Motif(tc.s, tc.w); err == nil || i != -1 || j != -1 || !math.IsInf(d, 1) {
+			t.Errorf("Motif %s: (%d, %d, %v, %v), want sentinels and an error", tc.name, i, j, d, err)
+		}
+		if off, d, err := Discord(tc.s, tc.w); err == nil || off != -1 || !math.IsInf(d, 1) {
+			t.Errorf("Discord %s: (%d, %v, %v), want sentinels and an error", tc.name, off, d, err)
+		}
+	}
+	// The boundary windows are legal.
+	for _, w := range []int{2, len(series)} {
+		if _, _, err := MatrixProfile(series, w); err != nil {
+			t.Errorf("MatrixProfile window %d: %v", w, err)
+		}
+		if _, _, _, err := Motif(series, w); err != nil {
+			t.Errorf("Motif window %d: %v", w, err)
+		}
 	}
 }
 
